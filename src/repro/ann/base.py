@@ -148,16 +148,19 @@ class AnnBackendBase:
             ids = np.asarray(ids, dtype=np.int64)
             if ids.shape != (count,):
                 raise ValueError("ids must have exactly one entry per vector row")
-            if len(np.unique(ids)) != count:
+            id_list = ids.tolist()
+            id_set = set(id_list)
+            if len(id_set) != count:
                 raise ValueError("ids must be unique")
-            for row_id in ids:
-                if int(row_id) in self._rows_by_id:
-                    raise ValueError(f"row id {int(row_id)} already present")
-                if int(row_id) in self._dead_ids:
-                    raise ValueError(
-                        f"row id {int(row_id)} is tombstoned but still stored; "
-                        "compact() before reusing it"
-                    )
+            taken = (self._rows_by_id.keys() & id_set) | (self._dead_ids & id_set)
+            if taken:
+                row_id = next(row_id for row_id in id_list if row_id in taken)
+                if row_id in self._rows_by_id:
+                    raise ValueError(f"row id {row_id} already present")
+                raise ValueError(
+                    f"row id {row_id} is tombstoned but still stored; "
+                    "compact() before reusing it"
+                )
         if count == 0:
             return ids
         self._grow_to(self._count + count)
@@ -167,8 +170,7 @@ class AnnBackendBase:
         self._norms[start:stop] = squared_norms(vectors)
         self._ids[start:stop] = ids
         self._dead[start:stop] = False
-        for row in range(start, stop):
-            self._rows_by_id[int(self._ids[row])] = row
+        self._rows_by_id.update(zip(ids.tolist(), range(start, stop)))
         self._count = stop
         self._next_id = max(self._next_id, int(ids.max()) + 1)
         self.generation += 1

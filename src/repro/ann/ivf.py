@@ -12,10 +12,30 @@ Layout (built lazily, a pure function of the stored rows + params + seed):
 Query flow: coarse-score the query block against the centroids (one small
 GEMM), pick each query's ``nprobe`` nearest lists (expanded per query until
 the probed lists hold at least ``k`` alive rows), then scan only those lists
-with the *same* chunked argpartition kernel the exact backends use
-(:func:`repro.serving.index.scan_topk_candidates`) — every probed candidate
-is re-ranked by its exact distance, so approximation error is purely "the
-true neighbour's list was not probed", never a distance estimate.
+and re-rank every probed candidate by its exact distance, so approximation
+error is purely "the true neighbour's list was not probed", never a distance
+estimate.
+
+The probe scan is **list-major and batched** (:meth:`IVFBackend._scan_probed`,
+shared with IVF-PQ): the block's (query, probed list) pairs are built once;
+each touched list is scored once for all queries probing it — one GEMM per
+``database_chunk_size`` slice of the list (an ADC gather-sum for IVF-PQ) —
+straight into one flat score buffer; one gather then lays the scores out
+per query (``+inf``-padded to the widest row) and a single
+``argpartition`` picks each query's top-k (IVF-PQ: its re-rank pool).
+Python work per block is one small step per touched list, not a merge round.
+
+*Bitwise parity:* every GEMM has the operands the exact chunked kernel
+(:func:`repro.serving.index.scan_topk_candidates`) would use on that list —
+the probing queries in ascending order against the list's contiguous rows,
+split at ``database_chunk_size`` — and distances are formed by the same
+``(|q|² + |x|²) − 2·G`` expression, so every candidate distance is
+bit-identical to a per-list scan; only which of several *exactly tied*
+candidates fills the last slot may differ.  *Memory budget:* a block is
+scanned in runs of queries whose padded layout (queries x widest row) stays
+within ``query_chunk_size * database_chunk_size`` elements, the exact
+kernel's own budget (at least one query per run); a split block gives each
+run's lists fewer queries, so its GEMM shapes — and last bits — may differ.
 
 ``nprobe >= nlist`` probes everything; the scan then degenerates to the
 bruteforce backend's exact full-matrix path, bit-identically (see
@@ -35,7 +55,6 @@ from repro.serving.index import (
     DEFAULT_QUERY_CHUNK,
     finalize_topk,
     pairwise_squared_euclidean,
-    scan_topk_candidates,
     squared_norms,
 )
 from repro.streaming.shards import DEFAULT_SHARD_CAPACITY
@@ -183,65 +202,134 @@ class IVFBackend(AnnBackendBase):
     def _scan_probed(
         self,
         structure: _IVFStructure,
-        block: np.ndarray,
-        block_norms: np.ndarray,
         list_order: np.ndarray,
         probe_counts: np.ndarray,
         width: int,
-        scan_one_list,
+        score_list,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Iterate probed lists list-major, merging per-query candidates.
+        """Each query's best ``width`` probed candidates, by a list-major batch scan.
 
-        ``scan_one_list(query_rows, start, stop, best)`` scans one contiguous
-        list segment for the subset of queries probing it and returns the
-        merged ``(distances, candidates)`` arrays of width ``width``
-        (candidates are global ids for IVF, grouped positions for IVF-PQ).
-        Placeholder ``(+inf, -1)`` seeds can only survive when a query's
-        probed candidates number fewer than ``width`` — never inside the
-        final top-k (probing is expanded until ``>= k`` alive candidates are
-        covered).
+        ``score_list(lst, query_rows, start, stop, out)`` writes the scores of
+        list ``lst`` (grouped rows ``start:stop``) for the ascending block
+        rows ``query_rows`` probing it into ``out``, a
+        ``(len(query_rows), stop - start)`` view of one flat score buffer.
+        Returns unsorted ``(scores, positions)`` of shape ``(Q, width)``;
+        positions are grouped-storage rows, tombstones score ``+inf``, and
+        ``(+inf, -1)`` placeholders fill the row of a query whose probed
+        lists hold fewer than ``width`` rows — never the final top-k, since
+        probing is expanded until ``>= k`` alive candidates are covered.
+
+        The block is split into runs of queries whose padded per-query
+        layout (queries x widest candidate row) stays within
+        ``query_chunk_size * database_chunk_size`` elements, the exact
+        kernel's budget; at least one query per run.
         """
-        num_queries = block.shape[0]
-        best_d = np.full((num_queries, width), np.inf, dtype=np.float32)
-        best_i = np.full((num_queries, width), -1, dtype=np.int64)
+        num_queries = list_order.shape[0]
+        sizes = np.diff(structure.offsets)
         probed = np.zeros((num_queries, structure.nlist), dtype=bool)
         position = np.arange(structure.nlist)[None, :] < probe_counts[:, None]
         query_index, rank = np.nonzero(position)
         probed[query_index, list_order[query_index, rank]] = True
-        for lst in range(structure.nlist):
-            start, stop = int(structure.offsets[lst]), int(structure.offsets[lst + 1])
-            if stop == start:
-                continue
-            query_rows = np.nonzero(probed[:, lst])[0]
-            if not query_rows.size:
-                continue
-            merged_d, merged_i = scan_one_list(query_rows, start, stop, (best_d[query_rows], best_i[query_rows]))
-            best_d[query_rows] = merged_d
-            best_i[query_rows] = merged_i
-        return best_d, best_i
+        probed &= sizes > 0  # empty lists hold no candidates
+        candidates = probed @ sizes
+        dead_grouped = (
+            self._dead[: self._count][structure.order] if self._dead_count else None
+        )
+        budget = self.query_chunk_size * self.database_chunk_size
+        scores = np.empty((num_queries, width), dtype=np.float32)
+        positions = np.empty((num_queries, width), dtype=np.int64)
+        lo = 0
+        while lo < num_queries:
+            row_width = np.maximum.accumulate(np.maximum(candidates[lo:], width))
+            elements = row_width * np.arange(1, row_width.size + 1)
+            hi = lo + max(1, int(np.searchsorted(elements, budget, side="right")))
+            scores[lo:hi], positions[lo:hi] = self._select_run(
+                structure, probed[lo:hi], candidates[lo:hi], lo, width, dead_grouped, score_list
+            )
+            lo = hi
+        return scores, positions
+
+    @staticmethod
+    def _select_run(
+        structure: _IVFStructure,
+        probed: np.ndarray,
+        candidates: np.ndarray,
+        first_query: int,
+        width: int,
+        dead_grouped: np.ndarray | None,
+        score_list,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One budget-sized run of queries for :meth:`_scan_probed`.
+
+        Scores land list-major in one flat buffer — one ``score_list`` call
+        per touched list, with exactly the operands a per-list scan uses —
+        then are laid out per query (its lists back to back, ``+inf``
+        padding to the widest row) for a single ``argpartition``.
+        """
+        num_queries = probed.shape[0]
+        offsets = structure.offsets
+        pair_list, pair_query = np.nonzero(probed.T)  # list-major, queries ascending
+        pair_len = np.diff(offsets)[pair_list]
+        pair_start = np.cumsum(pair_len) - pair_len
+        flat = np.empty(int(candidates.sum()), dtype=np.float32)
+        per_list = probed.sum(axis=0)
+        touched = np.flatnonzero(per_list)
+        first_pair = (np.cumsum(per_list) - per_list)[touched]
+        bounds, starts = offsets.tolist(), pair_start.tolist()
+        block_rows = pair_query + first_query
+        for lst, first, count in zip(touched.tolist(), first_pair.tolist(), per_list[touched].tolist()):
+            start, stop = bounds[lst], bounds[lst + 1]
+            out = flat[starts[first] : starts[first] + count * (stop - start)].reshape(count, stop - start)
+            score_list(lst, block_rows[first : first + count], start, stop, out)
+            if dead_grouped is not None:
+                out[:, dead_grouped[start:stop]] = np.inf
+
+        by_query = np.argsort(pair_query, kind="stable")  # lists ascending per query
+        row_width = max(int(candidates.max()), width)
+        padding = np.full(row_width, np.inf, dtype=np.float32)
+        segments = np.stack([pair_start, pair_start + pair_len], axis=1)[by_query].tolist()
+        pairs_per_query = np.bincount(pair_query, minlength=num_queries).tolist()
+        pieces, first = [], 0
+        for count, spare in zip(pairs_per_query, (row_width - candidates).tolist()):
+            pieces.extend(flat[lo:hi] for lo, hi in segments[first : first + count])
+            pieces.append(padding[:spare])
+            first += count
+        layout = np.concatenate(pieces).reshape(num_queries, row_width)
+        if row_width > width:
+            keep = np.argpartition(layout, width - 1, axis=1)[:, :width]
+        else:
+            keep = np.broadcast_to(np.arange(width), layout.shape)
+
+        # Layout slot -> grouped position: find the pair each kept slot
+        # falls in (pair slot starts ascend in query-major order).
+        lengths = pair_len[by_query]
+        owner = pair_query[by_query]
+        column = np.cumsum(lengths) - lengths - (np.cumsum(candidates) - candidates)[owner]
+        slot_start = owner * row_width + column
+        slot = np.arange(num_queries)[:, None] * row_width + keep
+        pair = np.searchsorted(slot_start, slot, side="right") - 1
+        grouped = slot - slot_start[pair] + offsets[pair_list[by_query]][pair]
+        kept_positions = np.where(keep < candidates[:, None], grouped, -1)
+        return np.take_along_axis(layout, keep, axis=1), kept_positions
 
     def _search_block(
         self, structure: _IVFStructure, block: np.ndarray, block_norms: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         list_order, probe_counts = self._probe_lists(structure, block, block_norms, k)
-        dead_grouped = (
-            self._dead[: self._count][structure.order] if self._dead_count else None
-        )
 
-        def scan_one_list(query_rows, start, stop, best):
-            return scan_topk_candidates(
-                block[query_rows],
-                block_norms[query_rows],
-                structure.vectors[start:stop],
-                structure.norms[start:stop],
-                k,
-                self.database_chunk_size,
-                row_ids=structure.ids[start:stop],
-                exclude=dead_grouped[start:stop] if dead_grouped is not None else None,
-                best=best,
-            )
+        def score_list(lst, query_rows, start, stop, out):
+            queries, query_norms = block[query_rows], block_norms[query_rows]
+            # The per-list chunking of the exact kernel: same GEMM operands,
+            # so every candidate distance is bit-identical to a chunked scan.
+            for chunk in range(start, stop, self.database_chunk_size):
+                end = min(chunk + self.database_chunk_size, stop)
+                out[:, chunk - start : end - start] = pairwise_squared_euclidean(
+                    queries,
+                    structure.vectors[chunk:end],
+                    query_norms=query_norms,
+                    database_norms=structure.norms[chunk:end],
+                )
 
-        best_d, best_i = self._scan_probed(
-            structure, block, block_norms, list_order, probe_counts, k, scan_one_list
-        )
-        return finalize_topk(best_d, best_i)
+        # Width k never leaves a placeholder: every query covers >= k rows.
+        best_d, best_pos = self._scan_probed(structure, list_order, probe_counts, k, score_list)
+        return finalize_topk(best_d, structure.ids[best_pos])

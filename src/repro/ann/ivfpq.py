@@ -26,11 +26,7 @@ import numpy as np
 
 from repro.ann.ivf import _IVFStructure, IVFBackend
 from repro.ann.pq import ProductQuantizer
-from repro.serving.index import (
-    DEFAULT_DATABASE_CHUNK,
-    DEFAULT_QUERY_CHUNK,
-    merge_topk_candidates,
-)
+from repro.serving.index import DEFAULT_DATABASE_CHUNK, DEFAULT_QUERY_CHUNK
 from repro.streaming.shards import DEFAULT_SHARD_CAPACITY
 
 #: Default number of PQ sub-quantizers (clamped to a divisor of dim).
@@ -124,9 +120,6 @@ class IVFPQBackend(IVFBackend):
     ) -> tuple[np.ndarray, np.ndarray]:
         pool = max(k, self.rerank)
         list_order, probe_counts = self._probe_lists(structure, block, block_norms, k)
-        dead_grouped = (
-            self._dead[: self._count][structure.order] if self._dead_count else None
-        )
         # ADC via the inner-product expansion: |q - r|^2 = |q|^2 + |r|^2 -
         # 2 q.r with r = centroid + decode(code).  |r|^2 is precomputed per
         # row, q.centroid is one block GEMM, q.decode(code) is m gathers from
@@ -136,26 +129,15 @@ class IVFPQBackend(IVFBackend):
         dot_tables = structure.pq.dot_tables(block)  # (B, m, ks)
         centroid_dots = block @ structure.centroids.T  # (B, nlist)
 
-        def scan_one_list(query_rows, start, stop, best):
-            lst = int(structure.list_of_position[start])
+        def score_list(lst, query_rows, start, stop, out):
             code_dots = structure.pq.gather_sum(
                 dot_tables[query_rows], structure.codes[start:stop]
             )
-            approx = structure.recon_norms[start:stop][None, :] - 2.0 * (
+            out[...] = structure.recon_norms[start:stop][None, :] - 2.0 * (
                 centroid_dots[query_rows, lst][:, None] + code_dots
             )
-            if dead_grouped is not None:
-                dead = np.nonzero(dead_grouped[start:stop])[0]
-                if dead.size:
-                    approx[:, dead] = np.inf
-            positions = np.broadcast_to(
-                np.arange(start, stop, dtype=np.int64), approx.shape
-            )
-            return merge_topk_candidates(best[0], best[1], approx, positions, pool)
 
-        pool_d, pool_rows = self._scan_probed(
-            structure, block, block_norms, list_order, probe_counts, pool, scan_one_list
-        )
+        _, pool_rows = self._scan_probed(structure, list_order, probe_counts, pool, score_list)
         return self._rerank_pool(structure, block, block_norms, pool_rows, k)
 
     def _rerank_pool(

@@ -110,12 +110,25 @@ def kmeans(
                         counts[donor] -= 1
                         counts[slot] += 1
                         break
-        # float64 accumulator on purpose: summing many float32 rows in
-        # float32 loses mass on large clusters; cast back after the divide.
-        sums = np.zeros((k, data.shape[1]), dtype=np.float64)  # repro: allow[dtype-float64-cast]
-        np.add.at(sums, assignments, data)
-        centroids = (sums / counts[:, None]).astype(np.float32)
+        centroids = _cluster_means(data, assignments, counts)
         if previous is not None and np.array_equal(previous, assignments):
             break
         previous = assignments
     return centroids
+
+
+def _cluster_means(data: np.ndarray, assignments: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Float32 mean of each cluster's rows; every cluster must be non-empty.
+
+    Rows are summed in ascending row order within each cluster — the order
+    ``np.add.at`` uses — via one stable sort and one segmented
+    ``np.add.reduceat``, so the means are bit-identical to the unbuffered
+    scatter-add at a fraction of its cost.
+    """
+    order = np.argsort(assignments, kind="stable")
+    starts = np.cumsum(counts) - counts
+    # float64 accumulator on purpose: summing many float32 rows in
+    # float32 loses mass on large clusters; cast back after the divide.
+    rows = data[order].astype(np.float64)  # repro: allow[dtype-float64-cast]
+    sums = np.add.reduceat(rows, starts, axis=0)
+    return (sums / counts[:, None]).astype(np.float32)

@@ -1,6 +1,6 @@
 """Unit + property tests for `repro.ann`: k-means, PQ, IVF, IVF-PQ.
 
-The two hypothesis properties pin the ANN backends' sharp guarantees:
+The hypothesis properties pin the ANN backends' sharp guarantees:
 
 * **exhaustive probing is the oracle** — with ``nprobe >= nlist`` both ANN
   backends return ids *and distances* bit-identical to the bruteforce
@@ -8,10 +8,15 @@ The two hypothesis properties pin the ANN backends' sharp guarantees:
   full-matrix arithmetic by construction);
 * **recall is monotone in nprobe** — per query, probed lists are a prefix of
   the same coarse-distance ordering, so growing ``nprobe`` grows the
-  candidate set and exact re-ranking can only keep or improve recall@k.
+  candidate set and exact re-ranking can only keep or improve recall@k;
+* **the batched probe scan is the per-list scan** — distances are bitwise
+  those of the per-list merge loop (:func:`per_list_reference`), ids too
+  except where a distance ties exactly at the selection boundary.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
@@ -21,10 +26,109 @@ from hypothesis import strategies as st
 from repro.ann import IVFBackend, IVFPQBackend, ProductQuantizer, assign_to_centroids, kmeans
 from repro.ann.pq import largest_divisor_at_most
 from repro.api import create_backend
+from repro.serving.index import (
+    finalize_topk,
+    merge_topk_candidates,
+    scan_topk_candidates,
+    squared_norms,
+)
+
+kmeans_module = importlib.import_module("repro.ann.kmeans")
 
 
 def random_corpus(seed: int, rows: int, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((rows, dim)).astype(np.float32)
+
+
+def add_at_cluster_means(data, assignments, counts):
+    """The scatter-add centroid update, the reference for ``_cluster_means``."""
+    sums = np.zeros((counts.size, data.shape[1]), dtype=np.float64)
+    np.add.at(sums, assignments, data)
+    return (sums / counts[:, None]).astype(np.float32)
+
+
+def per_list_reference(backend, queries, k):
+    """The per-list merge loop the batched probe scan replaced.
+
+    Probed lists are visited in list order; each scores its probing queries
+    (ascending) and merges them into running per-query candidates, like the
+    exact kernel.  Returns ``(ids, distances, boundary_tied)``:
+    ``boundary_tied[i]`` marks an IVF-PQ query whose ADC re-rank pool is
+    ambiguous (alive ADC scores tie exactly at the pool boundary), where
+    either pool — and so either answer — is correct.
+    """
+    structure = backend._ensure_structure()
+    k = min(k, len(backend))
+    offsets = structure.offsets
+    dead = backend._dead[: backend._count][structure.order] if backend.tombstone_count else None
+    is_pq = isinstance(backend, IVFPQBackend)
+    width = max(k, backend.rerank) if is_pq else k
+    all_ids, all_distances, all_tied = [], [], []
+    for row in range(0, queries.shape[0], backend.query_chunk_size):
+        block = queries[row : row + backend.query_chunk_size]
+        norms = squared_norms(block)
+        list_order, probe_counts = backend._probe_lists(structure, block, norms, k)
+        probed = np.zeros((block.shape[0], structure.nlist), dtype=bool)
+        for query, count in enumerate(probe_counts):
+            probed[query, list_order[query, :count]] = True
+        best_d = np.full((block.shape[0], width), np.inf, dtype=np.float32)
+        best_i = np.full((block.shape[0], width), -1, dtype=np.int64)
+        alive_scores = [[] for _ in range(block.shape[0])]
+        if is_pq:
+            dot_tables = structure.pq.dot_tables(block)
+            centroid_dots = block @ structure.centroids.T
+        for lst in range(structure.nlist):
+            start, stop = int(offsets[lst]), int(offsets[lst + 1])
+            rows = np.nonzero(probed[:, lst])[0]
+            if stop == start or not rows.size:
+                continue
+            best = (best_d[rows], best_i[rows])
+            if is_pq:
+                code_dots = structure.pq.gather_sum(dot_tables[rows], structure.codes[start:stop])
+                approx = structure.recon_norms[start:stop][None, :] - 2.0 * (
+                    centroid_dots[rows, lst][:, None] + code_dots
+                )
+                if dead is not None:
+                    approx[:, dead[start:stop]] = np.inf
+                for query, scores in zip(rows, approx):
+                    alive_scores[query].append(scores[np.isfinite(scores)])
+                positions = np.broadcast_to(np.arange(start, stop, dtype=np.int64), approx.shape)
+                merged = merge_topk_candidates(*best, approx, positions, width)
+            else:
+                merged = scan_topk_candidates(
+                    block[rows], norms[rows], structure.vectors[start:stop],
+                    structure.norms[start:stop], k, backend.database_chunk_size,
+                    row_ids=structure.ids[start:stop],
+                    exclude=dead[start:stop] if dead is not None else None, best=best,
+                )
+            best_d[rows], best_i[rows] = merged
+        if is_pq:
+            ids, distances = backend._rerank_pool(structure, block, norms, best_i, k)
+        else:
+            ids, distances = finalize_topk(best_d, best_i)
+        for scores in alive_scores:
+            ordered = np.sort(np.concatenate(scores)) if scores else np.empty(0)
+            all_tied.append(ordered.size > width and ordered[width - 1] == ordered[width])
+        all_ids.append(ids)
+        all_distances.append(distances)
+    return np.concatenate(all_ids), np.concatenate(all_distances), np.array(all_tied)
+
+
+def assert_matches_reference(result, reference, *, tolerance=0.0):
+    """Distances equal (bitwise at ``tolerance == 0``); every reference id
+    strictly inside the k-th distance (by more than ``tolerance``) is
+    returned, at the same position when bitwise."""
+    ids, distances, boundary_tied = reference
+    assert result.indices.shape == ids.shape
+    for query in np.flatnonzero(~boundary_tied):
+        got_d, want_d = result.distances[query], distances[query]
+        inside = want_d < want_d[-1] - tolerance
+        if tolerance == 0.0:
+            assert got_d.tobytes() == want_d.tobytes()
+            np.testing.assert_array_equal(result.indices[query][inside], ids[query][inside])
+        else:
+            np.testing.assert_allclose(got_d, want_d, rtol=tolerance, atol=tolerance)
+            assert set(ids[query][inside].tolist()) <= set(result.indices[query].tolist())
 
 
 def recall_against(oracle_ids: np.ndarray, candidate_ids: np.ndarray) -> float:
@@ -72,6 +176,32 @@ class TestKMeans:
         _, d_one = assign_to_centroids(data, kmeans(data, 1, seed=0))
         _, d_many = assign_to_centroids(data, kmeans(data, 12, seed=0))
         assert d_many.sum() < d_one.sum()
+
+    def test_cluster_means_are_bitwise_the_scatter_add_means(self):
+        data = random_corpus(30, 4096, 64)
+        assignments = np.random.default_rng(31).integers(0, 256, size=4096)
+        assignments[:256] = np.arange(256)  # every cluster non-empty
+        counts = np.bincount(assignments, minlength=256)
+        means = kmeans_module._cluster_means(data, assignments, counts)
+        assert means.tobytes() == add_at_cluster_means(data, assignments, counts).tobytes()
+
+    def test_kmeans_with_empty_cluster_repair_matches_scatter_add_update(self, monkeypatch):
+        data = random_corpus(3, 20, 3)
+        data[5] = data[2]
+        data[11] = data[2]
+        saw_empty = []
+        assign = kmeans_module.assign_to_centroids
+
+        def spying_assign(rows, centroids):
+            assignments, distances = assign(rows, centroids)
+            saw_empty.append(np.bincount(assignments, minlength=len(centroids)).min() == 0)
+            return assignments, distances
+
+        monkeypatch.setattr(kmeans_module, "assign_to_centroids", spying_assign)
+        centroids = kmeans(data, 20, seed=0)
+        assert any(saw_empty)  # the repair branch ran
+        monkeypatch.setattr(kmeans_module, "_cluster_means", add_at_cluster_means)
+        assert kmeans(data, 20, seed=0).tobytes() == centroids.tobytes()
 
     def test_clustered_data_recovers_clusters(self):
         rng = np.random.default_rng(5)
@@ -147,6 +277,19 @@ class TestIVFSpecifics:
         backend.remove(np.arange(5))
         backend.compact()
         assert backend._centroid_cache is None  # compaction rewrites the prefix
+
+    def test_add_reports_the_first_offending_id_in_input_order(self):
+        backend = IVFBackend(nlist=2, nprobe=1)
+        backend.add(random_corpus(18, 10, 4))
+        backend.remove([3, 4])
+        batch = random_corpus(19, 4, 4)
+        with pytest.raises(ValueError, match="row id 7 already present"):
+            backend.add(batch, ids=np.array([20, 7, 3, 5]))
+        with pytest.raises(ValueError, match="row id 4 is tombstoned but still stored"):
+            backend.add(batch, ids=np.array([21, 4, 8, 3]))
+        assert (len(backend), backend.stored_count) == (8, 10)  # rejected batches store nothing
+        backend.add(batch, ids=np.array([30, 11, 12, 13]))
+        assert all(row_id in backend for row_id in (30, 11, 12, 13))
 
     def test_probing_expands_until_k_alive_candidates(self):
         """nprobe=1 with k near the corpus size must still fill k columns."""
@@ -252,3 +395,70 @@ class TestHypothesisProperties:
             recalls.append(recall_against(truth, backend.top_k(queries, k).indices))
         assert all(b >= a - 1e-12 for a, b in zip(recalls, recalls[1:])), recalls
         assert recalls[-1] == 1.0
+
+
+class TestBatchedProbeScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 120),
+        num_queries=st.integers(1, 12),
+        dim=st.integers(2, 8),
+        nlist=st.integers(2, 12),
+        k=st.integers(1, 12),
+        rerank=st.integers(1, 24),
+        dead_fraction=st.sampled_from([0.0, 0.2, 0.6]),
+        long_lists=st.booleans(),
+        chunk=st.integers(1, 8),
+        backend_name=st.sampled_from(["ivf", "ivfpq"]),
+    )
+    def test_matches_the_per_list_scan(
+        self, seed, rows, num_queries, dim, nlist, k, rerank, dead_fraction, long_lists, chunk,
+        backend_name,
+    ):
+        """Tombstones, probe expansion over tiny lists, and either lists
+        longer than ``database_chunk_size`` or several query blocks per call —
+        with chunk sizes chosen so no block outgrows the element budget."""
+        rng = np.random.default_rng(seed)
+        corpus = rng.standard_normal((rows, dim)).astype(np.float32)
+        queries = rng.standard_normal((num_queries, dim)).astype(np.float32)
+        nlist = min(nlist, rows)
+        widest = max(rows, k, rerank)  # bounds every padded per-query row
+        if long_lists:
+            chunks = dict(database_chunk_size=chunk, query_chunk_size=-(-num_queries * widest // chunk))
+        else:
+            chunks = dict(query_chunk_size=1 + chunk % 3, database_chunk_size=widest)
+        params = dict(rerank=rerank, pq_m=2, pq_bits=3) if backend_name == "ivfpq" else {}
+        backend = create_backend(
+            backend_name, nlist=nlist, nprobe=1 + seed % (nlist - 1), seed=seed % 89,
+            **chunks, **params,
+        )
+        backend.add(corpus)
+        backend.remove(rng.choice(rows, size=min(int(dead_fraction * rows), rows - 1), replace=False))
+        reference = per_list_reference(backend, queries, k)
+        assert_matches_reference(backend.top_k(queries, k), reference)
+
+    @pytest.mark.parametrize("backend_name", ["ivf", "ivfpq"])
+    def test_budget_split_matches_the_per_list_scan_to_tolerance(self, backend_name, monkeypatch):
+        """A 32-query block probing ~200 rows each exceeds the 32 x 16
+        element budget, so it is scanned in runs: GEMM shapes change, hence
+        the tolerance."""
+        runs = []
+        select_run = IVFBackend._select_run
+
+        def counting_select_run(*args):
+            runs.append(args[1].shape[0])
+            return select_run(*args)
+
+        monkeypatch.setattr(IVFBackend, "_select_run", staticmethod(counting_select_run))
+        params = dict(rerank=24, pq_m=4, pq_bits=4) if backend_name == "ivfpq" else {}
+        backend = create_backend(
+            backend_name, nlist=8, nprobe=3, seed=0, query_chunk_size=32, database_chunk_size=16,
+            **params,
+        )
+        backend.add(random_corpus(21, 600, 16))
+        backend.remove(np.arange(0, 600, 7))
+        queries = random_corpus(22, 40, 16)
+        result = backend.top_k(queries, 10)
+        assert len(runs) > 2 and sum(runs) == 40  # two blocks, each split
+        assert_matches_reference(result, per_list_reference(backend, queries, 10), tolerance=1e-4)
