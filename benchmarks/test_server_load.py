@@ -16,22 +16,34 @@ fair):
 2. **Batched, metrics off** — a :class:`ServingRuntime` built with
    ``metrics=NULL_REGISTRY`` (1 worker: this gate must hold on a single
    core, where the win comes from batch amortisation, not parallelism)
-   with pipelined callers; best of ``ROUNDS`` passes.  Gated:
+   with pipelined callers: the metrics-off runtime of phase 3's first
+   pair, best of its first ``ROUNDS`` passes, the cold one included, so
+   both sides of this gate are best-of-``ROUNDS``.  Gated:
    ``batched_qps >= REPRO_SERVER_MIN_SPEEDUP (2.0) * sequential_qps``.
-3. **Batched, metrics on** — the identical load against a runtime with the
-   default live registry (queue-wait/service histograms, shared engine
-   cache/backend instruments, the lot).  Gated: the instrumented runtime
-   keeps at least ``1 - REPRO_OBS_MAX_OVERHEAD (0.05)`` of the
-   uninstrumented QPS.
-4. **Mixed traffic** — the same query load on the instrumented runtime
+3. **Batched, metrics on** — the identical load against a second runtime
+   with the default live registry (queue-wait/service histograms, shared
+   engine cache/backend instruments, the lot).  ``OVERHEAD_BLOCKS`` fresh
+   off/on runtime pairs, started in alternating order; within a pair the
+   passes alternate, ``ROUNDS_PER_BLOCK`` each, with the side that goes
+   first swapping every round, so machine noise hits both sides alike.
+   Each pair yields the ratio of its two sides' best passes (noise only
+   ever adds time to a pass); gated on the median ratio: the instrumented
+   runtime keeps at least ``1 - REPRO_OBS_MAX_OVERHEAD (0.05)`` of the
+   uninstrumented QPS.  Why a median over pairs: the machine's speed
+   drifts by ~15% over a run, which the two sides of a pair share, and now
+   and then one runtime runs 10-25% slower than an identical twin for its
+   whole life — that decides a one-pair comparison, but moves only one
+   ratio of the median.
+4. **Mixed traffic** — the same query load on a fresh instrumented runtime
    with concurrent ingest waves arriving through ``submit_ingest``
    (background compaction/publication included, forcing mid-run replica
-   refreshes).  Gated much softer: ``REPRO_SERVER_MIN_MIXED_SPEEDUP
-   (0.5)`` — on one core every mid-run publish snapshots the whole index,
-   so this gate guards against collapse/deadlock under writes, not for a
-   speedup.  Afterwards ``runtime.metrics()`` must report the live load:
-   non-zero QPS, batch occupancy, cache hit rate, per-backend latency
-   counts and a non-zero ingest-lag peak.
+   refreshes); one timed pass after an untimed warm pass.  Gated much
+   softer: ``REPRO_SERVER_MIN_MIXED_SPEEDUP (0.5)`` — on one core every
+   mid-run publish snapshots the whole index, so this gate guards against
+   collapse/deadlock under writes, not for a speedup.  Afterwards
+   ``runtime.metrics()`` must report the live load: non-zero QPS, batch
+   occupancy, cache hit rate, per-backend latency counts and a non-zero
+   ingest-lag peak.
 
 QPS plus p50/p99 caller latency of every phase land in
 ``benchmark.extra_info`` (the pytest-benchmark JSON artefact in CI), which
@@ -43,11 +55,12 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 
 import numpy as np
 
 from repro.api import Engine, EngineConfig, QueryRequest
-from repro.obs import NULL_REGISTRY
+from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.server import ServerConfig, ServingRuntime
 from repro.trajectory import Trajectory
 
@@ -56,6 +69,8 @@ DIM = 64
 NUM_QUERIES = 512
 K = 10
 ROUNDS = 3
+OVERHEAD_BLOCKS = 6    # fresh metrics off/on runtime pairs
+ROUNDS_PER_BLOCK = 10  # alternating passes per side in each pair
 MAX_BATCH = 64
 CALLERS = 2          # few submitters, deep pipelines: single-core friendly
 PIPELINE_DEPTH = 64  # in-flight futures per caller (an async frontend's window)
@@ -142,28 +157,43 @@ def test_server_load_batched_vs_sequential(benchmark, once):
         for future in warmup:
             future.result(timeout=120)
 
-    def best_of_rounds(runtime: ServingRuntime) -> tuple[float, np.ndarray]:
-        best_seconds, best_latencies = np.inf, None
-        for _ in range(ROUNDS):
-            wall, latencies = run_callers(runtime, requests)
-            if wall < best_seconds:
-                best_seconds, best_latencies = wall, latencies
-        return best_seconds, best_latencies
-
-    # --- Phase 2 (the batching gate): metrics off. -------------------------
-    with ServingRuntime(engine, config, metrics=NULL_REGISTRY) as runtime:
-        warm_up(runtime, shift=100.0)
-        batched_seconds, batched_latencies = best_of_rounds(runtime)
+    # --- Phases 2 + 3: metrics off vs on, in alternating passes. ----------
+    first_off_passes = []  # (wall, latencies) of the first pair's metrics-off runtime
+    keep_ratios = []  # per pair: instrumented / uninstrumented best-pass QPS
+    for block in range(OVERHEAD_BLOCKS):
+        pair = (
+            ServingRuntime(engine, config, metrics=NULL_REGISTRY),
+            ServingRuntime(engine, config),
+        )
+        best = [np.inf, np.inf]
+        with ExitStack() as running:
+            for side in (0, 1) if block % 2 == 0 else (1, 0):
+                running.enter_context(pair[side])
+                warm_up(pair[side], shift=100.0 + 100.0 * side)
+                # A runtime's first full pass runs cold (page faults,
+                # allocator growth) and is ~2x slower; keep it out of the
+                # overhead ratio.
+                cold = run_callers(pair[side], requests)
+                if block == 0 and side == 0:
+                    first_off_passes.append(cold)
+            for round_number in range(ROUNDS_PER_BLOCK):
+                for side in (0, 1) if round_number % 2 == 0 else (1, 0):
+                    wall, latencies = run_callers(pair[side], requests)
+                    best[side] = min(best[side], wall)
+                    if block == 0 and side == 0:
+                        first_off_passes.append((wall, latencies))
+        keep_ratios.append(best[0] / best[1])
+    batched_seconds, batched_latencies = min(first_off_passes[:ROUNDS], key=lambda p: p[0])
     batched_qps = NUM_QUERIES / batched_seconds
+    overhead = 1.0 - float(np.median(keep_ratios))
 
-    # --- Phase 3 (the overhead gate): the same load, metrics on. -----------
-    runtime = ServingRuntime(engine, config)
+    # --- Phase 4: mixed ingest+query traffic (instrumented). ---------------
+    # Its own registry: the snapshot below reports this runtime's load only.
+    runtime = ServingRuntime(engine, config, metrics=MetricsRegistry())
     with runtime:
-        warm_up(runtime, shift=200.0)
-        instrumented_seconds, _ = best_of_rounds(runtime)
-        instrumented_qps = NUM_QUERIES / instrumented_seconds
+        warm_up(runtime, shift=300.0)
+        run_callers(runtime, requests)  # the cold pass, untimed
 
-        # --- Phase 4: mixed ingest+query traffic (still instrumented). -----
         def ingest_traffic():
             for wave in range(INGEST_WAVES):
                 runtime.submit_ingest(
@@ -195,10 +225,10 @@ def test_server_load_batched_vs_sequential(benchmark, once):
     # The observability promise: a live registry on the hot path costs at
     # most REPRO_OBS_MAX_OVERHEAD (5%) of the uninstrumented QPS.
     max_overhead = float(os.environ.get("REPRO_OBS_MAX_OVERHEAD", "0.05"))
-    overhead = 1.0 - instrumented_qps / batched_qps
-    assert instrumented_qps >= (1.0 - max_overhead) * batched_qps, (
-        f"instrumented {instrumented_qps:.0f} qps loses {overhead:.1%} vs the "
-        f"uninstrumented {batched_qps:.0f} qps (budget {max_overhead:.0%})"
+    per_pair = ", ".join(f"{1.0 - ratio:+.1%}" for ratio in keep_ratios)
+    assert overhead <= max_overhead, (
+        f"the instrumented runtime loses {overhead:.1%} QPS (median over "
+        f"{OVERHEAD_BLOCKS} runtime pairs: {per_pair}; budget {max_overhead:.0%})"
     )
     # Softer floor: queries must keep flowing while publishes snapshot the
     # index mid-run, but on one core that write work is real lost QPS.
@@ -237,8 +267,8 @@ def test_server_load_batched_vs_sequential(benchmark, once):
         f"  sequential   : {sequential_qps:8.0f} qps\n"
         f"  batched (off): {batched_qps:8.0f} qps  ({speedup:.2f}x)  "
         f"p50={p50:.1f}ms p99={p99:.1f}ms\n"
-        f"  batched (on) : {instrumented_qps:8.0f} qps  "
-        f"(obs overhead {overhead:+.1%}, budget {max_overhead:.0%})\n"
+        f"  batched (on) : obs overhead {overhead:+.1%} (budget {max_overhead:.0%}; "
+        f"pairs {per_pair})\n"
         f"  mixed        : {mixed_qps:8.0f} qps  ({mixed_speedup:.2f}x)  "
         f"p50={mixed_p50:.1f}ms p99={mixed_p99:.1f}ms  "
         f"(+{INGEST_WAVES * WAVE_SIZE} rows, {stats['publishes']} publishes)\n"
@@ -262,7 +292,6 @@ def test_server_load_batched_vs_sequential(benchmark, once):
     benchmark.extra_info["mixed_p99_ms"] = mixed_p99
     benchmark.extra_info["publishes"] = stats["publishes"]
     benchmark.extra_info["mean_batch_occupancy"] = stats["mean_occupancy"]
-    benchmark.extra_info["instrumented_qps"] = instrumented_qps
     benchmark.extra_info["obs_overhead_frac"] = overhead
     benchmark.extra_info["obs_qps"] = slo["qps"]
     benchmark.extra_info["obs_cache_hit_rate"] = slo["cache_hit_rate"]

@@ -1,11 +1,13 @@
 """Gate for the streaming subsystem: incremental ingest + sharded serving.
 
-Two hard promises are checked at a serving-ish scale (6k rows, 64-d):
+Two hard promises are checked at a serving-ish scale (6k rows, 64-d), with
+the corpus arriving in waves through a tailed JSONL file that
+:meth:`Engine.drain <repro.api.Engine.drain>` consumes:
 
-1. **Incremental appends never re-encode existing shards** — the corpus
-   arrives in waves through a tailed JSONL file, every trajectory is encoded
-   exactly once across all waves, and the shard objects sealed by earlier
-   waves are untouched by later ones.
+1. **Incremental appends never re-encode existing shards** — every
+   trajectory is encoded exactly once across all waves, and the shards
+   filled by earlier waves are the same memory, bit for bit, after later
+   ones.
 2. **Sharding does not change answers** — after all waves, the sharded
    fan-out returns bit-identical neighbour ids and distances to a monolithic
    :class:`SimilarityIndex` over the same vectors, at several shard counts.
@@ -20,9 +22,9 @@ import time
 
 import numpy as np
 
+from repro.api import Engine, EngineConfig, QueryRequest
 from repro.serving.index import SimilarityIndex
 from repro.streaming.reader import TrajectoryStreamReader
-from repro.streaming.service import IngestService
 from repro.streaming.shards import ShardedIndex
 from repro.trajectory import Trajectory, append_trajectories
 
@@ -33,6 +35,7 @@ NUM_QUERIES = 200
 K = 10
 CHUNK = 512
 SHARD_CAPACITY = 1_024  # 2 x CHUNK: aligned, 6 shards at full fill
+ENCODE_BATCH = 256
 
 
 def make_trajectory(trajectory_id: int, rng: np.random.Generator) -> Trajectory:
@@ -63,46 +66,55 @@ def test_streaming_ingest_and_sharded_query_exactness(benchmark, once, tmp_path)
         encoded_ids.extend(t.trajectory_id for t in batch)
         return hashing_encode(batch)
 
-    service = IngestService(
+    engine = Engine(
         counting_encode,
-        index=ShardedIndex(shard_capacity=SHARD_CAPACITY, database_chunk_size=CHUNK),
-        batch_size=256,
+        EngineConfig(
+            backend="sharded",
+            shard_capacity=SHARD_CAPACITY,
+            database_chunk_size=CHUNK,
+            encode_batch_size=ENCODE_BATCH,
+        ),
     )
 
     # --- Waves of arrivals: append to the JSONL, drain, repeat. ------------
     wave_size = TOTAL_ROWS // WAVES
-    sealed_before_last_wave: tuple = ()
+    full_before_last_wave: list[tuple[np.ndarray, bytes]] = []
     ingest_started = time.perf_counter()
     for wave in range(WAVES):
         ids = range(wave * wave_size, (wave + 1) * wave_size)
         append_trajectories(path, [make_trajectory(i, rng) for i in ids])
         if wave == WAVES - 1:
-            sealed_before_last_wave = tuple(
-                shard for shard in service.index.shards if shard.is_full
-            )
-        ingested = service.drain(reader)
-        assert ingested == wave_size
+            full_before_last_wave = [
+                (vectors, vectors.tobytes())
+                for vectors, _, _ in engine.backend.segments()
+                if len(vectors) == SHARD_CAPACITY
+            ]
+        ingested = engine.drain(reader)
+        assert len(ingested) == wave_size
     ingest_seconds = time.perf_counter() - ingest_started
 
     # Promise 1: every trajectory encoded exactly once, and the shards that
-    # were sealed before the last wave are the same untouched objects after.
+    # were full before the last wave are the same untouched memory after.
     assert sorted(encoded_ids) == list(range(TOTAL_ROWS))
-    assert len(service) == TOTAL_ROWS
-    for shard in sealed_before_last_wave:
-        assert shard in service.index.shards
-    assert service.index.num_shards == -(-TOTAL_ROWS // SHARD_CAPACITY)
+    assert len(engine) == TOTAL_ROWS
+    segments = [vectors for vectors, _, _ in engine.backend.segments()]
+    assert full_before_last_wave
+    for (vectors, frozen), now in zip(full_before_last_wave, segments):
+        assert np.shares_memory(now, vectors)
+        assert now.tobytes() == frozen
+    assert engine.backend.num_shards == -(-TOTAL_ROWS // SHARD_CAPACITY)
 
     # --- Promise 2: sharded == monolithic, bit for bit. --------------------
-    # The service assigns row ids in encode-completion order; rebuild the
-    # monolithic reference in that same order via the id -> vector map.
-    vectors = np.concatenate([shard.vectors for shard in service.index.shards])
+    # Rows are numbered in arrival order; the monolithic reference indexes
+    # the segments' rows in that same order.
+    vectors = np.concatenate(segments)
     queries = rng.standard_normal((NUM_QUERIES, DIM)).astype(np.float32)
     mono = SimilarityIndex(vectors, database_chunk_size=CHUNK).topk(queries, K)
 
     query_started = time.perf_counter()
-    result = service.top_k(queries, K)
+    result = engine.query(QueryRequest(queries=queries, k=K))
     query_seconds = time.perf_counter() - query_started
-    np.testing.assert_array_equal(result.indices, mono.indices)
+    np.testing.assert_array_equal(result.ids, mono.indices)
     assert (result.distances.view(np.uint32) == mono.distances.view(np.uint32)).all()
 
     # Same answer at other (aligned) shard geometries.
@@ -113,9 +125,9 @@ def test_streaming_ingest_and_sharded_query_exactness(benchmark, once, tmp_path)
         np.testing.assert_array_equal(other.indices, mono.indices)
         assert (other.distances.view(np.uint32) == mono.distances.view(np.uint32)).all()
 
-    once(benchmark, lambda: service.index.top_k(queries, K))
+    once(benchmark, lambda: engine.backend.top_k(queries, K))
     benchmark.extra_info["rows"] = TOTAL_ROWS
-    benchmark.extra_info["shards"] = service.index.num_shards
+    benchmark.extra_info["shards"] = engine.backend.num_shards
     benchmark.extra_info["ingest_seconds"] = ingest_seconds
     benchmark.extra_info["rows_per_second_ingest"] = TOTAL_ROWS / ingest_seconds
     benchmark.extra_info["query_seconds"] = query_seconds

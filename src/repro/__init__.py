@@ -33,7 +33,7 @@ Sub-packages
     Approximate-nearest-neighbour index structures (IVF, IVF-PQ) behind the
     ``repro.api`` backend registry.
 ``repro.streaming``
-    Streaming internals: JSONL tail reader, sharded index, ingest service.
+    Streaming internals: JSONL tail reader, sharded index.
 ``repro.server``
     Concurrent serving runtime: batch aggregation, replica query workers,
     background stream ingest, checkpoint/restart.

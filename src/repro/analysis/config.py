@@ -112,7 +112,6 @@ class LayeringConfig:
         "EmbeddingStore",
         "SimilarityIndex",
         "ShardedIndex",
-        "IngestService",
     )
     allowed_paths: tuple[str, ...] = ("api/", "serving/", "streaming/")
     frozen_modules: tuple[str, ...] = ("api/types.py",)

@@ -24,6 +24,7 @@ from repro.serving.index import (
     DEFAULT_QUERY_CHUNK,
     SearchResult,
     as_float32_matrix,
+    check_new_ids,
     pairwise_squared_euclidean,
     scan_count_before,
     squared_norms,
@@ -145,22 +146,7 @@ class AnnBackendBase:
         if ids is None:
             ids = np.arange(self._next_id, self._next_id + count, dtype=np.int64)
         else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (count,):
-                raise ValueError("ids must have exactly one entry per vector row")
-            id_list = ids.tolist()
-            id_set = set(id_list)
-            if len(id_set) != count:
-                raise ValueError("ids must be unique")
-            taken = (self._rows_by_id.keys() & id_set) | (self._dead_ids & id_set)
-            if taken:
-                row_id = next(row_id for row_id in id_list if row_id in taken)
-                if row_id in self._rows_by_id:
-                    raise ValueError(f"row id {row_id} already present")
-                raise ValueError(
-                    f"row id {row_id} is tombstoned but still stored; "
-                    "compact() before reusing it"
-                )
+            ids = check_new_ids(ids, count, self._rows_by_id.keys(), self._dead_ids)
         if count == 0:
             return ids
         self._grow_to(self._count + count)
@@ -208,7 +194,7 @@ class AnnBackendBase:
         self._dead = np.zeros(self._count, dtype=bool)
         self._dead_count = 0
         self._dead_ids = set()
-        self._rows_by_id = {int(row_id): row for row, row_id in enumerate(self._ids)}
+        self._rows_by_id = dict(zip(self._ids.tolist(), range(self._count)))
         self.generation += 1
         self._structure = None
         self._on_compact()

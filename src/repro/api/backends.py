@@ -72,6 +72,7 @@ from repro.serving.index import (
     SearchResult,
     SimilarityIndex,
     as_float32_matrix,
+    check_new_ids,
     pairwise_squared_euclidean,
     squared_norms,
 )
@@ -260,18 +261,11 @@ class _ArrayBackend:
         if ids is None:
             ids = np.arange(self._next_id, self._next_id + count, dtype=np.int64)
         else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (count,):
-                raise ValueError("ids must have exactly one entry per vector row")
-            if len(np.unique(ids)) != count:
-                raise ValueError("ids must be unique")
-            for row_id in ids:
-                if int(row_id) in self._known_ids:
-                    raise ValueError(f"row id {int(row_id)} already present")
+            ids = check_new_ids(ids, count, self._known_ids)
         if count == 0:
             return ids
         self._blocks.append((vectors, ids))
-        self._known_ids.update(int(i) for i in ids)
+        self._known_ids.update(ids.tolist())
         self._count += count
         self._next_id = max(self._next_id, int(ids.max()) + 1)
         self.generation += 1
@@ -306,7 +300,7 @@ class _ArrayBackend:
         # (SimilarityIndex) share the matrix instead of defensively copying.
         self._vectors.flags.writeable = False
         self._ids = np.concatenate([ids for _, ids in self._blocks])
-        self._rows_by_id = {int(row_id): row for row, row_id in enumerate(self._ids)}
+        self._rows_by_id = dict(zip(self._ids.tolist(), range(self._ids.shape[0])))
 
     def _check_ready(self, queries: np.ndarray) -> np.ndarray:
         queries = as_float32_matrix(queries, "queries")

@@ -5,8 +5,8 @@ trajectories, index the vectors, serve similarity queries, persist and
 restore both the model and the index — is reachable from one object
 configured by one :class:`EngineConfig`.  Callers above this layer
 (``repro.eval``, ``repro.experiments``, ``examples/``) never construct
-stores, indexes or ingest services directly; they pick a backend by config
-string and talk requests/responses (:mod:`repro.api.types`).
+stores or indexes directly; they pick a backend by config string and talk
+requests/responses (:mod:`repro.api.types`).
 
 The engine wraps *any* encoder with the shared
 ``encode(trajectories) -> (N, d)`` contract: a :class:`STARTModel`, any
@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
+import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -46,7 +48,6 @@ from repro.obs.metrics import (
 from repro.serving.index import DEFAULT_DATABASE_CHUNK, DEFAULT_QUERY_CHUNK, as_float32_matrix
 from repro.serving.store import DEFAULT_ENCODE_BATCH, EmbeddingStore
 from repro.streaming.reader import TrajectoryStreamReader
-from repro.streaming.service import DEFAULT_QUERY_CACHE_SIZE, _LRUCache
 from repro.streaming.shards import DEFAULT_SHARD_CAPACITY
 from repro.utils.clock import Clock, SystemClock
 
@@ -54,6 +55,50 @@ from repro.utils.clock import Clock, SystemClock
 SNAPSHOT_FORMAT_VERSION = 1
 
 _MANIFEST_NAME = "manifest.json"
+
+DEFAULT_QUERY_CACHE_SIZE = 128
+
+
+class _LRUCache:  # thread: shared
+    """A tiny ordered-dict LRU for query responses.
+
+    Thread-safe: the serving runtime hits one engine's cache from many
+    worker threads at once, and even a *read* mutates an LRU
+    (``move_to_end`` reorders the dict), so every operation — including the
+    hit/miss counters, which lose increments under a data race — takes the
+    internal lock.  Entries are immutable response objects shared by
+    reference, so the lock never guards more than dict bookkeeping.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = int(capacity)
+        self._entries: OrderedDict[tuple, QueryResponse] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, key: tuple) -> QueryResponse | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry
+
+    def put(self, key: tuple, value: QueryResponse) -> None:
+        with self._lock:
+            if self.capacity < 1:
+                return
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
 
 
 @dataclass(frozen=True)
@@ -656,6 +701,11 @@ class Engine:
         for row — queries against the restored engine are bit-identical to
         the original.  The manifest's backend and geometry win unless an
         explicit ``config`` is given.
+
+        Snapshots of the retired pre-facade ``IngestService`` restore too:
+        their manifest lists ``shards`` instead of ``segments`` and names no
+        backend, and each shard file already is a sharded-backend segment.
+        Their manifest's user ``metadata`` block is not carried over.
         """
         directory = Path(directory)
         manifest_path = directory / _MANIFEST_NAME
@@ -669,21 +719,12 @@ class Engine:
                 f"{directory} uses snapshot format v{version}; "
                 f"this build reads up to v{SNAPSHOT_FORMAT_VERSION}"
             )
-        if "backend" not in manifest or "segments" not in manifest:
-            # The deprecated IngestService writes the same manifest.json name
-            # (with "shards" and no "backend"); give migrators a real answer
-            # instead of a KeyError.
-            hint = (
-                " (this looks like an IngestService snapshot — restore it once "
-                "with repro.streaming.service.IngestService.restore, then "
-                "re-snapshot through Engine.snapshot)"
-                if "shards" in manifest
-                else ""
-            )
-            raise ValueError(f"{directory} is not an Engine snapshot{hint}")
+        segment_files = manifest.get("segments", manifest.get("shards"))
+        if segment_files is None:
+            raise ValueError(f"{directory} is not an Engine snapshot (no segments listed)")
         if config is None:
             config = EngineConfig(
-                backend=manifest["backend"],
+                backend=manifest.get("backend", "sharded"),
                 shard_capacity=int(manifest["shard_capacity"]),
                 query_chunk_size=int(manifest["query_chunk_size"]),
                 database_chunk_size=int(manifest["database_chunk_size"]),
@@ -696,7 +737,7 @@ class Engine:
         # cross-backend restore of a tombstoned snapshot still works.
         replay_tombstones = engine._backend.supports_removal
         deleted: list[int] = []
-        for name in manifest["segments"]:
+        for name in segment_files:
             store = EmbeddingStore.load(directory / name)
             dead_ids = {int(i) for i in store.metadata.get("deleted_ids", [])}
             vectors, ids = store.vectors, store.ids

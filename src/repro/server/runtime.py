@@ -49,6 +49,7 @@ sleeps anywhere.
 from __future__ import annotations
 
 import queue
+import shutil
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -76,6 +77,14 @@ from repro.utils.clock import Clock, SystemClock
 
 #: Worker-queue sentinel: the receiving worker exits cleanly.
 _STOP = object()
+
+#: Serialises replica restores across every worker in the process.  A
+#: restore is GIL-bound (two at once take as long as two in a row), and
+#: ``np.load`` parses each array header with ``ast.literal_eval``: on CPython
+#: 3.11 the AST constructor keeps its recursion counter in interpreter-wide
+#: state, so two threads parsing at once can fail a restore with
+#: ``SystemError: AST constructor recursion depth mismatch``.
+_RESTORE_LOCK = threading.Lock()
 
 
 class _QueryWorker(threading.Thread):
@@ -123,18 +132,24 @@ class _QueryWorker(threading.Thread):
             self.runtime._worker_exited(self, reason)
 
     def _refresh_replica(self) -> None:
-        generation, directory = self.runtime._published
-        if generation != self.replica_generation:
+        pinned = self.runtime._pin_published(self.replica_generation)
+        if pinned is None:
+            return
+        generation, directory = pinned
+        try:
             # Replicas report into the runtime's registry: the serving path
             # (cache hits, backend scans) runs here, not on the primary.
             registry = self.runtime._metrics_registry
-            self.replica = Engine.restore(
-                directory,
-                self.runtime.primary.model,
-                metrics=registry if registry.enabled else None,
-                clock=self.runtime._clock,
-            )
-            self.replica_generation = generation
+            with _RESTORE_LOCK:
+                self.replica = Engine.restore(
+                    directory,
+                    self.runtime.primary.model,
+                    metrics=registry if registry.enabled else None,
+                    clock=self.runtime._clock,
+                )
+        finally:
+            self.runtime._unpin(generation)
+        self.replica_generation = generation
 
 
 class ServingRuntime:
@@ -189,6 +204,11 @@ class ServingRuntime:
         self._replica_root = Path(replica_dir)
         self._published: tuple[int, Path] | None = None
         self._generation = 0
+        # Generation directories this runtime wrote and has not deleted yet,
+        # and how many workers are restoring from each (guarded by
+        # _state_lock): a publish deletes every unpinned stale generation.
+        self._replica_dirs: dict[int, Path] = {}
+        self._replica_pins: dict[int, int] = {}
         # Ingestion.
         self._ingest_lock = threading.Lock()
         self._ingest_queue: deque[list[Trajectory]] = deque()
@@ -552,6 +572,25 @@ class ServingRuntime:
     # ------------------------------------------------------------------ #
     # Worker supervision
     # ------------------------------------------------------------------ #
+    def _pin_published(self, current: int) -> tuple[int, Path] | None:
+        """Pin the published generation for a restore, unless it is ``current``.
+
+        A pinned generation directory survives publishes until
+        :meth:`_unpin`; returns ``None`` when the caller is already up to date.
+        """
+        with self._state_lock:
+            generation, directory = self._published
+            if generation == current:
+                return None
+            self._replica_pins[generation] = self._replica_pins.get(generation, 0) + 1
+        return generation, directory
+
+    def _unpin(self, generation: int) -> None:
+        with self._state_lock:
+            remaining = self._replica_pins.pop(generation) - 1
+            if remaining:
+                self._replica_pins[generation] = remaining
+
     def _spawn_worker_locked(self) -> None:
         worker = _QueryWorker(self, self._next_worker_id)
         self._next_worker_id += 1
@@ -768,7 +807,18 @@ class ServingRuntime:
         self._generation += 1
         directory = self._replica_root / f"gen_{self._generation:06d}"
         self.primary.snapshot(directory)
-        self._published = (self._generation, directory)
+        with self._state_lock:
+            self._published = (self._generation, directory)
+            self._replica_dirs[self._generation] = directory
+            stale = [
+                self._replica_dirs.pop(generation)
+                for generation in list(self._replica_dirs)
+                if generation != self._generation and generation not in self._replica_pins
+            ]
+        # Workers only ever pin the current generation, so nothing can start
+        # reading a stale directory once it has left the map.
+        for stale_directory in stale:
+            shutil.rmtree(stale_directory, ignore_errors=True)
         self._groups_since_publish = 0
         self._publishes += 1
         self._publishes_since_checkpoint += 1

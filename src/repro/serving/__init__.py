@@ -1,23 +1,17 @@
 """`repro.serving` — the representation-serving layer (facade internals).
 
 Turns a frozen encoder into a query-able similarity-search service:
-:class:`EmbeddingStore` materialises representations once (length-bucketed
-batching, npz persistence) and :class:`SimilarityIndex` answers top-k /
-most-similar / rank queries with chunked float32 distance computation and
-partial (``argpartition``) selection instead of full sorts.
+:class:`~repro.serving.store.EmbeddingStore` materialises representations
+once (length-bucketed batching, npz persistence) and
+:class:`~repro.serving.index.SimilarityIndex` answers top-k / most-similar /
+rank queries with chunked float32 distance computation and partial
+(``argpartition``) selection instead of full sorts.
 
-.. deprecated::
-    Constructing :class:`EmbeddingStore` / :class:`SimilarityIndex` directly
-    is the *old* public path.  Application code should go through the
-    :class:`repro.api.Engine` facade (``EngineConfig(backend="chunked")``
-    selects this index); these names remain importable for backward
-    compatibility but accessing them from this package emits a
-    ``DeprecationWarning``.  Facade internals import from the submodules
-    (:mod:`repro.serving.store`, :mod:`repro.serving.index`), which stay
-    warning-free.
+Application code goes through the :class:`repro.api.Engine` facade
+(``EngineConfig(backend="chunked")`` selects this index); the two classes
+are importable from their submodules (:mod:`repro.serving.store`,
+:mod:`repro.serving.index`) only.
 """
-
-import warnings
 
 from repro.serving.index import (
     DEFAULT_DATABASE_CHUNK,
@@ -27,37 +21,11 @@ from repro.serving.index import (
 )
 from repro.serving.store import DEFAULT_ENCODE_BATCH, FORMAT_VERSION
 
-#: Old public entry points, now deprecated at package level in favour of
-#: ``repro.api.Engine``; resolved lazily so the warning fires on access.
-_DEPRECATED = {
-    "EmbeddingStore": ("repro.serving.store", "EmbeddingStore"),
-    "SimilarityIndex": ("repro.serving.index", "SimilarityIndex"),
-}
-
 __all__ = [
     "DEFAULT_DATABASE_CHUNK",
     "DEFAULT_ENCODE_BATCH",
     "DEFAULT_QUERY_CHUNK",
     "FORMAT_VERSION",
-    "EmbeddingStore",
     "SearchResult",
-    "SimilarityIndex",
     "pairwise_squared_euclidean",
 ]
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        module_name, attribute = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.serving.{name} is deprecated as a public entry point; "
-            f"drive serving through repro.api.Engine (the '{name}' machinery "
-            f"is selected with EngineConfig backends). Library-internal code "
-            f"imports from {module_name} directly.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from importlib import import_module
-
-        return getattr(import_module(module_name), attribute)
-    raise AttributeError(f"module 'repro.serving' has no attribute '{name}'")

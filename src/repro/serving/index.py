@@ -42,6 +42,35 @@ def as_float32_matrix(vectors: np.ndarray, name: str = "vectors") -> np.ndarray:
     return matrix
 
 
+def check_new_ids(ids, count: int, present, tombstoned=frozenset()) -> np.ndarray:
+    """Validate caller-supplied row ids for an ``add`` of ``count`` rows.
+
+    The one id check behind every backend's ``add``: one id per row, no
+    duplicates, none already ``present`` (alive rows), none ``tombstoned``
+    (dead rows still stored — re-adding one would store two rows under one
+    id and make snapshots unrestorable).  ``present`` and ``tombstoned``
+    are sets or dict key views; the checks are set intersections, and an
+    error names the first offending id in input order.  Returns the ids as
+    an int64 array.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.shape != (count,):
+        raise ValueError("ids must have exactly one entry per vector row")
+    id_list = ids.tolist()
+    id_set = set(id_list)
+    if len(id_set) != count:
+        raise ValueError("ids must be unique")
+    taken = (present & id_set) | (tombstoned & id_set)
+    if taken:
+        row_id = next(row_id for row_id in id_list if row_id in taken)
+        if row_id in present:
+            raise ValueError(f"row id {row_id} already present")
+        raise ValueError(
+            f"row id {row_id} is tombstoned but still stored; compact() before reusing it"
+        )
+    return ids
+
+
 def squared_norms(matrix: np.ndarray) -> np.ndarray:
     """Row-wise squared L2 norms, ``(N,)`` float32."""
     return np.einsum("ij,ij->i", matrix, matrix)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.nn import length_bucketed_indices, no_grad
-from repro.serving.index import SimilarityIndex, as_float32_matrix
+from repro.serving.index import as_float32_matrix
 
 #: Bump when the on-disk layout changes; readers refuse newer formats.
 FORMAT_VERSION = 1
@@ -172,10 +172,3 @@ class EmbeddingStore:
         ):
             raise ValueError(f"{path} metadata does not match its arrays")
         return store
-
-    # ------------------------------------------------------------------ #
-    # Serving
-    # ------------------------------------------------------------------ #
-    def index(self, **index_kwargs) -> SimilarityIndex:
-        """A :class:`SimilarityIndex` over this store's vectors."""
-        return SimilarityIndex(self.vectors, **index_kwargs)

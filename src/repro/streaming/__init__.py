@@ -4,72 +4,24 @@ The layer between :mod:`repro.serving` (frozen store + monolithic index) and
 a continuously-growing corpus:
 
 * :class:`TrajectoryStreamReader` tails ``trajectories.jsonl`` incrementally
-  and :class:`MicroBatcher` groups arrivals into length-bucketed encode
-  batches (``reader``);
-* :class:`ShardedIndex` routes queries across append-only
-  :class:`IndexShard` segments — add/remove/compact mutations, fan-out +
-  ``(distance, id)`` k-way merge queries, bit-identical to the monolithic
-  :class:`~repro.serving.index.SimilarityIndex` on the same rows
-  (``shards``);
-* :class:`IngestService` ties reader → encoding → shards together with an
-  LRU query cache and npz snapshot/restore (``service``).
+  (``reader``);
+* :class:`~repro.streaming.shards.ShardedIndex` routes queries across
+  append-only :class:`IndexShard` segments — add/remove/compact mutations,
+  fan-out + ``(distance, id)`` k-way merge queries, bit-identical to the
+  monolithic :class:`~repro.serving.index.SimilarityIndex` on the same rows
+  (``shards``).
 
-.. deprecated::
-    Constructing :class:`ShardedIndex` / :class:`IngestService` directly is
-    the *old* public path.  Application code should go through the
-    :class:`repro.api.Engine` facade (``EngineConfig(backend="sharded")``
-    selects the sharded machinery; ``Engine.drain``/``snapshot``/``restore``
-    replace the ingest service).  These names remain importable for backward
-    compatibility but accessing them from this package emits a
-    ``DeprecationWarning``; facade internals import from the submodules,
-    which stay warning-free.
+Application code drives both through the :class:`repro.api.Engine` facade:
+``EngineConfig(backend="sharded")`` selects the sharded index, and
+``Engine.drain`` / ``ServingRuntime.attach_stream`` consume a reader.  The
+index classes are importable from their submodules only.
 """
 
-import warnings
-
-from repro.streaming.reader import (
-    DEFAULT_BUCKET_WIDTH,
-    DEFAULT_MICROBATCH_SIZE,
-    MicroBatcher,
-    TrajectoryStreamReader,
-)
+from repro.streaming.reader import TrajectoryStreamReader
 from repro.streaming.shards import DEFAULT_SHARD_CAPACITY, IndexShard
-from repro.streaming.service import DEFAULT_QUERY_CACHE_SIZE, SNAPSHOT_FORMAT_VERSION
-
-#: Old public entry points, now deprecated at package level in favour of
-#: ``repro.api.Engine``; resolved lazily so the warning fires on access.
-_DEPRECATED = {
-    "ShardedIndex": ("repro.streaming.shards", "ShardedIndex"),
-    "IngestService": ("repro.streaming.service", "IngestService"),
-}
 
 __all__ = [
-    "DEFAULT_BUCKET_WIDTH",
-    "DEFAULT_MICROBATCH_SIZE",
-    "DEFAULT_QUERY_CACHE_SIZE",
     "DEFAULT_SHARD_CAPACITY",
-    "SNAPSHOT_FORMAT_VERSION",
     "IndexShard",
-    "IngestService",
-    "MicroBatcher",
-    "ShardedIndex",
     "TrajectoryStreamReader",
 ]
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        module_name, attribute = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.streaming.{name} is deprecated as a public entry point; "
-            f"drive streaming ingestion and sharded serving through "
-            f"repro.api.Engine (EngineConfig(backend='sharded'), "
-            f"Engine.drain/snapshot/restore). Library-internal code imports "
-            f"from {module_name} directly.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from importlib import import_module
-
-        return getattr(import_module(module_name), attribute)
-    raise AttributeError(f"module 'repro.streaming' has no attribute '{name}'")

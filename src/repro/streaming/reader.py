@@ -1,33 +1,25 @@
-"""Streaming trajectory ingestion: tail reader + length-bucketed batching.
+"""Streaming trajectory ingestion: the incremental JSONL tail reader.
 
 The batch pipeline materialises a whole ``trajectories.jsonl`` before
 encoding; under the ROADMAP's heavy-traffic goal trajectories *arrive
-continuously*, so ingestion needs two different primitives:
+continuously*.  :class:`TrajectoryStreamReader` tails a JSONL file
+incrementally: it remembers its byte offset, consumes only complete
+(newline-terminated) lines, and picks up records appended since the last
+:meth:`~TrajectoryStreamReader.poll` — a producer can keep writing while a
+consumer keeps reading, with no full materialisation on either side.
 
-* :class:`TrajectoryStreamReader` tails a JSONL file incrementally: it
-  remembers its byte offset, consumes only complete (newline-terminated)
-  lines, and picks up records appended since the last :meth:`poll` — a
-  producer can keep writing while a consumer keeps reading, with no full
-  materialisation on either side.
-* :class:`MicroBatcher` groups arriving trajectories into encode batches by
-  *length bucket*.  Padding work in the transformer is quadratic in the
-  padded length, so batching a 5-road trip with a 100-road trip wastes ~400x
-  on the short trip; the batch path solves this with a global length sort,
-  which a stream cannot do — bucketing is the online approximation.
+Each poll's records are encoded as one wave by :meth:`repro.api.Engine.drain`
+(length-bucketed batches over the wave), or in deterministic fixed-size
+groups by :meth:`repro.server.ServingRuntime.attach_stream`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.trajectory.io import parse_trajectory_record
 from repro.trajectory.types import Trajectory
-
-#: Default number of trajectories per encode batch.
-DEFAULT_MICROBATCH_SIZE = 64
-#: Default width (in roads) of one length bucket.
-DEFAULT_BUCKET_WIDTH = 16
 
 #: Sentinel: nothing further is readable (EOF or a partial trailing line).
 _EXHAUSTED = object()
@@ -165,58 +157,3 @@ class TrajectoryStreamReader:
                     return
                 if trajectory is not None:
                     yield trajectory
-
-
-class MicroBatcher:
-    """Group arriving trajectories into length-bucketed encode batches.
-
-    Trajectories land in the bucket ``len(t) // bucket_width``; when a bucket
-    reaches ``batch_size`` it is emitted as one encode batch.  :meth:`flush`
-    drains the partial buckets (shortest lengths first) so every accepted
-    trajectory is eventually emitted exactly once.
-    """
-
-    def __init__(
-        self,
-        batch_size: int = DEFAULT_MICROBATCH_SIZE,
-        bucket_width: int = DEFAULT_BUCKET_WIDTH,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if bucket_width < 1:
-            raise ValueError("bucket_width must be >= 1")
-        self.batch_size = int(batch_size)
-        self.bucket_width = int(bucket_width)
-        self._buckets: dict[int, list[Trajectory]] = {}
-        self._pending = 0
-
-    @property
-    def pending(self) -> int:
-        """Trajectories accepted but not yet emitted in a batch."""
-        return self._pending
-
-    def add(self, trajectory: Trajectory) -> list[Trajectory] | None:
-        """Accept one trajectory; returns a full batch if one just filled."""
-        key = len(trajectory) // self.bucket_width
-        bucket = self._buckets.setdefault(key, [])
-        bucket.append(trajectory)
-        self._pending += 1
-        if len(bucket) >= self.batch_size:
-            del self._buckets[key]
-            self._pending -= len(bucket)
-            return bucket
-        return None
-
-    def add_many(self, trajectories: Iterable[Trajectory]) -> Iterator[list[Trajectory]]:
-        """Accept many trajectories, yielding each batch as it fills."""
-        for trajectory in trajectories:
-            batch = self.add(trajectory)
-            if batch is not None:
-                yield batch
-
-    def flush(self) -> list[list[Trajectory]]:
-        """Emit all partially-filled buckets (shortest lengths first)."""
-        batches = [self._buckets[key] for key in sorted(self._buckets)]
-        self._buckets = {}
-        self._pending = 0
-        return batches

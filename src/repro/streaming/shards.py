@@ -40,6 +40,8 @@ order, so a ``ShardedIndex`` filled in database order reports the same ids a
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.serving.index import (
@@ -47,6 +49,7 @@ from repro.serving.index import (
     DEFAULT_QUERY_CHUNK,
     SearchResult,
     as_float32_matrix,
+    check_new_ids,
     finalize_topk,
     merge_topk_candidates,
     scan_count_before,
@@ -170,8 +173,7 @@ class IndexShard:
         self._norms[start:stop] = squared_norms(vectors)
         self._ids[start:stop] = ids
         self._dead[start:stop] = False
-        for row in range(start, stop):
-            self._rows_by_id[int(self._ids[row])] = row
+        self._rows_by_id.update(zip(ids.tolist(), range(start, stop)))
         self._count = stop
 
     def remove(self, row_id: int) -> bool:
@@ -244,7 +246,7 @@ class ShardedIndex:
     per-shard candidates by ``(distance, id)``.
 
     ``generation`` increments on every mutation; caches keyed on it (the
-    ingest service's LRU) invalidate automatically.
+    engine's LRU) invalidate automatically.
     """
 
     def __init__(
@@ -348,19 +350,7 @@ class ShardedIndex:
         if ids is None:
             ids = np.arange(self._next_id, self._next_id + count, dtype=np.int64)
         else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (count,):
-                raise ValueError("ids must have exactly one entry per vector row")
-            if len(np.unique(ids)) != count:
-                raise ValueError("ids must be unique")
-            for row_id in ids:
-                if int(row_id) in self._shard_by_id:
-                    raise ValueError(f"row id {int(row_id)} already present")
-                if int(row_id) in self._dead_ids:
-                    raise ValueError(
-                        f"row id {int(row_id)} is tombstoned but still stored; "
-                        "compact() before reusing it"
-                    )
+            ids = check_new_ids(ids, count, self._shard_by_id.keys(), self._dead_ids)
         if count == 0:
             return ids
         written = 0
@@ -377,8 +367,7 @@ class ShardedIndex:
             take = min(shard.remaining, count - written)
             piece = ids[written : written + take]
             shard.append(vectors[written : written + take], piece)
-            for row_id in piece:
-                self._shard_by_id[int(row_id)] = shard
+            self._shard_by_id.update(zip(piece.tolist(), repeat(shard)))
             written += take
         self._next_id = max(self._next_id, int(ids.max()) + 1)
         self.generation += 1

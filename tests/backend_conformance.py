@@ -170,15 +170,32 @@ class IndexBackendConformanceSuite:
 
     def test_duplicate_and_misshapen_ids_rejected(self, backend_name, corpus):
         backend = make_backend(backend_name)
-        backend.add(corpus[:5], ids=np.arange(5))
+        backend.add(corpus[:10], ids=np.arange(10))
         with pytest.raises(ValueError):
-            backend.add(corpus[5:7], ids=np.array([3, 100]))  # 3 already present
+            backend.add(corpus[10:12], ids=np.array([3, 100]))  # 3 already present
         with pytest.raises(ValueError):
-            backend.add(corpus[5:7], ids=np.array([8, 8]))  # not unique
+            backend.add(corpus[10:12], ids=np.array([18, 18]))  # not unique
         with pytest.raises(ValueError):
-            backend.add(corpus[5:7], ids=np.arange(3))  # wrong length
+            backend.add(corpus[10:12], ids=np.arange(3))  # wrong length
         with pytest.raises(ValueError):
             backend.add(np.zeros((2, 9), dtype=np.float32))  # wrong dim
+        # Several offenders in one batch: the error names the first one in
+        # input order, whatever kind it is.
+        batch = corpus[10:14]
+        with pytest.raises(ValueError, match="row id 7 already present"):
+            backend.add(batch, ids=np.array([20, 7, 3, 5]))
+        alive = 10
+        if backend.supports_removal:
+            backend.remove([3, 4])
+            alive = 8
+            with pytest.raises(ValueError, match="row id 4 is tombstoned but still stored"):
+                backend.add(batch, ids=np.array([21, 4, 8, 3]))
+        # Rejected batches store nothing; a clean one still goes in.
+        assert (len(backend), backend.next_id) == (alive, 10)
+        np.testing.assert_array_equal(
+            backend.add(batch, ids=np.array([30, 11, 12, 13])), [30, 11, 12, 13]
+        )
+        assert (len(backend), backend.next_id) == (alive + 4, 31)
 
     # ------------------------------------------------------------------ #
     # Query semantics

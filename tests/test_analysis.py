@@ -412,19 +412,16 @@ class _LRUCache:
 
 
 def test_lock_rule_catches_pre_pr6_lru_cache():
+    # The cache lived in the thread-reachable streaming/ package back then.
     found = findings_for(PRE_PR6_LRU_CACHE, "streaming/service.py", "race-lockless-class")
     assert len(found) == 1
     assert "_LRUCache" in found[0].message
-    # The current, locked implementation passes the same rule.  (The module
-    # still carries a baselined finding for the deprecated IngestService, so
-    # filter to the cache class.)
-    current = (REPO_SRC / "streaming" / "service.py").read_text()
-    cache_findings = [
-        f
-        for f in findings_for(current, "streaming/service.py", "race-lockless-class")
-        if "_LRUCache" in f.message
-    ]
-    assert cache_findings == []
+    # The current, locked implementation lives in api/engine.py, outside the
+    # thread paths; its `# thread: shared` marker keeps it under the same
+    # rule, which it passes.
+    current = (REPO_SRC / "api" / "engine.py").read_text()
+    assert "class _LRUCache:  # thread: shared" in current
+    assert findings_for(current, "api/engine.py", "race-lockless-class") == []
 
 
 def test_obs_paths_are_race_linted_and_the_real_registry_is_clean():
@@ -473,7 +470,7 @@ def test_wallclock_rule_exempts_clock_module():
 
 def test_layering_rule_allows_defining_layers():
     source = "from repro.streaming.shards import ShardedIndex\nindex = ShardedIndex()\n"
-    assert findings_for(source, "streaming/service.py") == []
+    assert findings_for(source, "streaming/fixture.py") == []
     assert findings_for(source, "experiments/fixture.py", "layer-direct-construction")
 
 

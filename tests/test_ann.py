@@ -278,19 +278,6 @@ class TestIVFSpecifics:
         backend.compact()
         assert backend._centroid_cache is None  # compaction rewrites the prefix
 
-    def test_add_reports_the_first_offending_id_in_input_order(self):
-        backend = IVFBackend(nlist=2, nprobe=1)
-        backend.add(random_corpus(18, 10, 4))
-        backend.remove([3, 4])
-        batch = random_corpus(19, 4, 4)
-        with pytest.raises(ValueError, match="row id 7 already present"):
-            backend.add(batch, ids=np.array([20, 7, 3, 5]))
-        with pytest.raises(ValueError, match="row id 4 is tombstoned but still stored"):
-            backend.add(batch, ids=np.array([21, 4, 8, 3]))
-        assert (len(backend), backend.stored_count) == (8, 10)  # rejected batches store nothing
-        backend.add(batch, ids=np.array([30, 11, 12, 13]))
-        assert all(row_id in backend for row_id in (30, 11, 12, 13))
-
     def test_probing_expands_until_k_alive_candidates(self):
         """nprobe=1 with k near the corpus size must still fill k columns."""
         corpus = random_corpus(13, 30, 4)

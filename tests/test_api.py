@@ -15,7 +15,9 @@ distances) whenever ``shard_capacity`` is a multiple of
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,12 +39,19 @@ from repro.api import (
 )
 from repro.core import STARTModel, tiny_config
 from repro.roadnet import CityConfig, generate_city
+from repro.streaming.reader import TrajectoryStreamReader
 from repro.trajectory import (
     CongestionModel,
     DemandConfig,
+    Trajectory,
     TrajectoryDataset,
     TrajectoryGenerator,
+    append_trajectories,
 )
+
+#: A snapshot written by the retired pre-facade ``IngestService.snapshot``
+#: (see ``test_restore_reads_ingest_service_snapshots`` for its recipe).
+LEGACY_SNAPSHOT = Path(__file__).parent / "data" / "ingest_service_snapshot"
 
 
 @dataclass
@@ -66,6 +75,31 @@ def linear_encode(batch: list[FakeTrajectory]) -> np.ndarray:
 
 def fake_corpus(count: int, start: int = 0) -> list[FakeTrajectory]:
     return [FakeTrajectory(length=3 + (i % 11), trajectory_id=100 + i) for i in range(start, start + count)]
+
+
+def legacy_encode(batch) -> np.ndarray:
+    """The encoder the checked-in ``IngestService`` snapshot was built with."""
+    return np.array(
+        [
+            [
+                (t.trajectory_id * 37) % 17,
+                (t.trajectory_id * 13) % 11,
+                t.length,
+                0.5 * (t.trajectory_id % 3),
+            ]
+            for t in batch
+        ],
+        dtype=np.float32,
+    )
+
+
+def stream_trajectory(trajectory_id: int) -> Trajectory:
+    length = 3 + trajectory_id % 5
+    return Trajectory(
+        roads=list(range(length)),
+        timestamps=[float(1000 + 10 * i) for i in range(length)],
+        trajectory_id=trajectory_id,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +187,7 @@ class TestEngineServing:
         again = engine.query(QueryRequest(queries=queries, k=2))
         assert again is first  # served from the generation-keyed cache
         assert engine.cache_stats["hits"] == 1
+        assert engine.query(QueryRequest(queries=queries, k=1)) is not first  # k is keyed too
         with pytest.raises(ValueError):
             first.ids[0, 0] = 99
         # Mutation bumps the generation: the cache entry can never be reused.
@@ -214,6 +249,13 @@ class TestEngineServing:
         new_ids = restored.ingest_vectors(rng.standard_normal((2, 5)).astype(np.float32))
         assert new_ids.min() >= 40
 
+    def test_snapshot_restore_round_trips_an_empty_index(self, tmp_path):
+        info = self.make_engine().snapshot(tmp_path / "empty")
+        assert (info.rows, info.segments) == (0, 0)
+        restored = Engine.restore(info.path, linear_encode)
+        assert len(restored) == 0 and restored.backend.next_id == 0
+        np.testing.assert_array_equal(restored.ingest(fake_corpus(3)), np.arange(3))
+
     def test_ingest_without_trajectory_ids_defaults_to_row_ids(self):
         """Objects lacking a trajectory_id must not collide across waves."""
 
@@ -255,16 +297,118 @@ class TestEngineServing:
         with pytest.raises(ValueError, match="not an Engine snapshot"):
             Engine.restore(tmp_path, linear_encode)
 
-    def test_restore_explains_ingest_service_snapshots(self, tmp_path):
-        """The deprecated service writes the same manifest.json name; pointing
-        Engine.restore at one must give a migration hint, not a KeyError."""
-        from repro.streaming.service import IngestService
+    def test_drain_encodes_each_record_once_and_never_touches_full_segments(self, tmp_path):
+        encoded: list[int] = []
 
-        service = IngestService(linear_encode, shard_capacity=8)
-        service.ingest(fake_corpus(10))
-        service.snapshot(tmp_path / "old")
-        with pytest.raises(ValueError, match="IngestService snapshot"):
-            Engine.restore(tmp_path / "old", linear_encode)
+        def counting_encode(batch):
+            encoded.extend(t.trajectory_id for t in batch)
+            return np.array(
+                [[len(t), t.trajectory_id % 7, (t.trajectory_id * 13) % 11] for t in batch],
+                dtype=np.float32,
+            )
+
+        path = tmp_path / "arrivals.jsonl"
+        reader = TrajectoryStreamReader(path)
+        engine = Engine(
+            counting_encode,
+            EngineConfig(backend="sharded", shard_capacity=4, database_chunk_size=2),
+        )
+        append_trajectories(path, [stream_trajectory(300 + i) for i in range(10)])
+        first = engine.drain(reader)
+        full = [(vectors, ids) for vectors, ids, _ in engine.backend.segments() if len(ids) == 4]
+        assert len(full) == 2
+        before = [(vectors.tobytes(), ids.tobytes()) for vectors, ids in full]
+
+        append_trajectories(path, [stream_trajectory(300 + i) for i in range(10, 16)])
+        second = engine.drain(reader)
+        assert engine.drain(reader).size == 0  # nothing appended since
+        assert (len(first), len(second), len(engine)) == (10, 6, 16)
+        assert sorted(encoded) == list(range(300, 316))  # once each, never re-encoded
+        # Wave 2 filled the open segment and opened new ones; the segments
+        # wave 1 filled are the same memory, bit for bit.
+        after = list(engine.backend.segments())
+        for (vectors, ids), (vector_bytes, id_bytes), (now_vectors, now_ids, _) in zip(
+            full, before, after
+        ):
+            assert np.shares_memory(now_vectors, vectors) and np.shares_memory(now_ids, ids)
+            assert (now_vectors.tobytes(), now_ids.tobytes()) == (vector_bytes, id_bytes)
+        np.testing.assert_array_equal(
+            engine.trajectory_ids(np.concatenate([first, second])), np.arange(300, 316)
+        )
+
+    def test_ingest_service_snapshot_migrates_to_the_engine_format(self, rng, tmp_path):
+        """One restore + snapshot turns a legacy layout into an Engine one.
+
+        The legacy manifest's user ``metadata`` block is dropped on the way:
+        Engine snapshots have no such field.
+        """
+        legacy = json.loads((LEGACY_SNAPSHOT / "manifest.json").read_text())
+        assert legacy["metadata"] == {"model": "legacy-fixture"}
+        restored = Engine.restore(LEGACY_SNAPSHOT, legacy_encode)
+        info = restored.snapshot(tmp_path / "migrated")
+        manifest = json.loads((info.path / "manifest.json").read_text())
+        assert manifest["backend"] == "sharded" and "shards" not in manifest
+        assert "metadata" not in manifest
+        assert "legacy-fixture" not in (info.path / "manifest.json").read_text()
+        assert (info.backend, info.rows, info.segments) == ("sharded", 5, 2)
+        again = Engine.restore(info.path, legacy_encode)
+        assert again.config == restored.config
+        assert again.backend.next_id == restored.backend.next_id == 7
+        queries = (rng.standard_normal((4, 4)) * 6).astype(np.float32)
+        expected = restored.query(QueryRequest(queries=queries, k=5))
+        actual = again.query(QueryRequest(queries=queries, k=5))
+        np.testing.assert_array_equal(actual.ids, expected.ids)
+        assert actual.distances.tobytes() == expected.distances.tobytes()
+        np.testing.assert_array_equal(actual.trajectory_ids, expected.trajectory_ids)
+
+    def test_restore_reads_ingest_service_snapshots(self, rng, tmp_path):
+        """Snapshots of the retired ``IngestService`` restore in one call.
+
+        The fixture was written by ``IngestService.snapshot`` over a
+        ``ShardedIndex(shard_capacity=4, query_chunk_size=2,
+        database_chunk_size=2)``: seven trajectories (ids 500..506, lengths
+        ``3 + i % 4``) encoded by :func:`legacy_encode`, row 6 removed and
+        compacted away, then row 2 tombstoned — two shard files, one
+        tombstone, ``next_id`` 7 and no ``backend`` or ``segments`` key.
+        """
+        restored = Engine.restore(LEGACY_SNAPSHOT, legacy_encode)
+        config = restored.config
+        assert config.backend == "sharded"
+        geometry = (config.shard_capacity, config.query_chunk_size, config.database_chunk_size)
+        assert geometry == (4, 2, 2)
+        assert (restored.backend.num_shards, len(restored), restored.backend.next_id) == (2, 5, 7)
+        np.testing.assert_array_equal(
+            restored.trajectory_ids(np.array([0, 1, 3, 4, 5])), [500, 501, 503, 504, 505]
+        )
+        # A sharded engine fed the same rows the same way answers bit-identically.
+        reference = Engine(
+            legacy_encode,
+            EngineConfig(
+                backend="sharded", shard_capacity=4, query_chunk_size=2, database_chunk_size=2
+            ),
+        )
+        reference.ingest([FakeTrajectory(3 + i % 4, trajectory_id=500 + i) for i in range(7)])
+        reference.remove([6])
+        assert reference.compact()
+        reference.remove([2])
+        queries = (rng.standard_normal((5, 4)) * 6).astype(np.float32)
+        expected = reference.query(QueryRequest(queries=queries, k=6))
+        actual = restored.query(QueryRequest(queries=queries, k=6))
+        np.testing.assert_array_equal(actual.ids, expected.ids)
+        assert actual.distances.tobytes() == expected.distances.tobytes()
+        np.testing.assert_array_equal(actual.trajectory_ids, expected.trajectory_ids)
+        assert actual.ids.shape == (5, 5) and 2 not in actual.ids
+        # The tombstone is replayed, not dropped: its id stays taken until
+        # compaction, and fresh rows continue after the recorded next_id.
+        with pytest.raises(ValueError, match="tombstoned"):
+            restored.backend.add(np.zeros((1, 4), dtype=np.float32), ids=np.array([2]))
+        assert restored.ingest_vectors(np.zeros((1, 4), dtype=np.float32)).tolist() == [7]
+
+        manifest = tmp_path / "bare" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text('{"format_version": 1}')
+        with pytest.raises(ValueError, match="not an Engine snapshot"):
+            Engine.restore(manifest.parent, linear_encode)
         engine = self.make_engine()
         engine.ingest(fake_corpus(3))
         engine.snapshot(tmp_path / "snap")

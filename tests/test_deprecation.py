@@ -1,10 +1,10 @@
-"""Regression tests for the deprecated pre-facade entry points.
+"""Tests for the package boundary.
 
-The old public path — constructing ``EmbeddingStore`` / ``SimilarityIndex``
-/ ``ShardedIndex`` / ``IngestService`` by hand — must keep working (same
-classes, identical results) while steering users to ``repro.api.Engine``
-with a ``DeprecationWarning`` on package-level access.  Library-internal
-submodule imports stay warning-free.
+The pre-facade entry points are retired: ``EmbeddingStore`` /
+``SimilarityIndex`` / ``ShardedIndex`` are facade internals importable from
+their submodules only, and the old ingest service and its micro-batcher are
+gone.  Hand-wiring the internals still gives the facade's exact answers, and
+internal imports stay warning-free.
 
 Also covers the lazy top-level package: ``import repro`` is cheap and
 resolves sub-packages plus the facade entry points on attribute access
@@ -13,6 +13,7 @@ resolves sub-packages plus the facade entry points on attribute access
 
 from __future__ import annotations
 
+import importlib
 import subprocess
 import sys
 import warnings
@@ -44,60 +45,57 @@ def linear_encode(batch: list[FakeTrajectory]) -> np.ndarray:
 CORPUS = [FakeTrajectory(length=3 + (i % 9), trajectory_id=200 + i) for i in range(40)]
 
 
-class TestDeprecatedEntryPoints:
+class TestFacadeInternals:
     @pytest.mark.parametrize(
         "package, name, submodule",
         [
             ("repro.serving", "EmbeddingStore", "repro.serving.store"),
             ("repro.serving", "SimilarityIndex", "repro.serving.index"),
             ("repro.streaming", "ShardedIndex", "repro.streaming.shards"),
-            ("repro.streaming", "IngestService", "repro.streaming.service"),
         ],
     )
-    def test_package_access_warns_and_returns_the_same_class(self, package, name, submodule):
-        import importlib
-
+    def test_importable_from_their_submodule_only(self, package, name, submodule):
         pkg = importlib.import_module(package)
-        with pytest.warns(DeprecationWarning, match="repro.api.Engine"):
-            deprecated = getattr(pkg, name)
-        # The shim hands back the real class — old isinstance checks,
-        # pickles and subclasses keep working.
-        assert deprecated is getattr(importlib.import_module(submodule), name)
+        assert name not in pkg.__all__
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(pkg, name)
+        assert isinstance(getattr(importlib.import_module(submodule), name), type)
 
-    def test_package_level_warning_fires_once_per_call_site(self):
-        """The default warning filter dedupes by call site: a loop over the
-        old path produces a single DeprecationWarning, not one per access."""
-        code = (
-            "import warnings, repro.serving\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('default')\n"
-            "    for _ in range(5):\n"
-            "        repro.serving.EmbeddingStore\n"
-            "print(sum(issubclass(w.category, DeprecationWarning) for w in caught))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "1"
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.streaming", "IngestService"),
+            ("repro.streaming", "MicroBatcher"),
+            ("repro.streaming.reader", "MicroBatcher"),
+            ("repro.streaming", "SNAPSHOT_FORMAT_VERSION"),
+            ("repro.streaming", "DEFAULT_QUERY_CACHE_SIZE"),
+        ],
+    )
+    def test_retired_ingest_path_is_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+
+    def test_ingest_service_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.streaming.service")
 
     def test_internal_submodule_imports_stay_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.serving.index import SimilarityIndex  # noqa: F401
             from repro.serving.store import EmbeddingStore  # noqa: F401
-            from repro.streaming.service import IngestService  # noqa: F401
             from repro.streaming.shards import ShardedIndex  # noqa: F401
-            import repro.eval  # the rewired harness must not touch shims
+            import repro.eval  # noqa: F401
             import repro.experiments  # noqa: F401
 
-    def test_old_manual_wiring_matches_the_facade(self, rng):
-        """The deprecated hand-wired path (store → index → topk) must keep
-        producing results identical to the facade over the same corpus."""
-        with pytest.warns(DeprecationWarning):
-            from repro.serving import EmbeddingStore  # the old entry point
+    def test_manual_wiring_matches_the_facade(self):
+        """Hand-wired store → index gives the ``chunked`` backend's answers."""
+        from repro.serving.index import SimilarityIndex
+        from repro.serving.store import EmbeddingStore
 
         store = EmbeddingStore.build(linear_encode, CORPUS)
-        old_result = store.index(database_chunk_size=8).topk(store.vectors[:5], k=7)
+        old_result = SimilarityIndex(store.vectors, database_chunk_size=8).topk(
+            store.vectors[:5], k=7
+        )
 
         engine = Engine(linear_encode, EngineConfig(backend="chunked", database_chunk_size=8))
         engine.ingest(CORPUS)
@@ -106,14 +104,13 @@ class TestDeprecatedEntryPoints:
         np.testing.assert_array_equal(old_result.indices, new_result.ids)
         assert (old_result.distances == new_result.distances).all()
 
-    def test_old_ingest_service_matches_the_facade(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.streaming import IngestService
+    def test_hand_built_sharded_index_matches_the_facade(self):
+        """A hand-built ``ShardedIndex`` gives the ``sharded`` backend's answers."""
+        from repro.streaming.shards import ShardedIndex
 
-        service = IngestService(linear_encode, shard_capacity=16)
-        service.ingest(CORPUS)
+        index = ShardedIndex.from_vectors(linear_encode(CORPUS), shard_capacity=16)
         queries = linear_encode(CORPUS[:4])
-        old = service.top_k(queries, k=5)
+        old = index.top_k(queries, k=5)
 
         engine = Engine(linear_encode, EngineConfig(backend="sharded", shard_capacity=16))
         engine.ingest(CORPUS)

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 import tempfile
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Engine, QueryRequest
+from repro.api.engine import _LRUCache
 from repro.obs import NULL_REGISTRY
 from repro.server import (
     BatchAggregator,
@@ -39,7 +42,6 @@ from repro.server import (
     ServingRuntime,
 )
 from repro.streaming.reader import TrajectoryStreamReader
-from repro.streaming.service import _LRUCache
 from serving_runtime_kit import (
     FaultInjector,
     FlakyEncoder,
@@ -280,6 +282,119 @@ class TestGenerationConsistency:
         assert len(engine) == 10
         rows = [p["rows"] for p in hooks.of("publish")]
         assert rows[-1] == 10 and rows == sorted(rows)
+
+    def test_publishes_prune_replica_generations_except_pinned(self, tmp_path, monkeypatch):
+        """Stale generation directories are deleted on publish — except one a
+        worker is still restoring from, which survives until it is done."""
+        original_restore = Engine.restore
+        entered, release = threading.Event(), threading.Event()
+
+        def gated_restore(directory, *args, **kwargs):
+            if Path(directory).name == "gen_000001":
+                entered.set()
+                assert release.wait(timeout=30)
+            return original_restore(directory, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "restore", gated_restore)
+        engine = make_engine()
+        seed_engine(engine, 12)
+        replica_root = tmp_path / "replicas"
+        runtime = ServingRuntime(
+            engine,
+            ServerConfig(max_batch=1, num_workers=2, publish_every_groups=1),
+            clock=VirtualClock(),
+            replica_dir=replica_root,
+        )
+
+        def generations() -> list[str]:
+            return sorted(path.name for path in replica_root.iterdir())
+
+        request = QueryRequest(queries=probe_queries(2), k=3)
+        expected = engine.query(request)  # the primary as generation 1 sees it
+        with runtime:
+            held = runtime.submit(request)  # size trigger: released inline
+            try:
+                assert entered.wait(timeout=30)  # a worker is inside Engine.restore
+                for wave in range(10):
+                    runtime.ingest([make_trajectory(2000 + wave)])  # one publish each
+                    assert len(generations()) <= runtime.config.num_workers + 1
+                assert generations() == ["gen_000001", "gen_000011"]
+            finally:
+                release.set()
+            assert_responses_identical(held.result(timeout=30), expected)
+            runtime.ingest([make_trajectory(3000)])
+            assert generations() == ["gen_000012"]  # the unpinned one went too
+            fresh = runtime.query(request, timeout=30)
+        assert_responses_identical(fresh, engine.query(request))
+        assert generations() == ["gen_000012"]
+
+    def test_pruning_races_with_replica_restores(self, tmp_path):
+        """Stress: more workers than cores restore replicas while every
+        ingest publishes and prunes; no restore may lose its directory and
+        every pin must be released (a leaked pin keeps a directory alive)."""
+        engine = make_engine()
+        seed_engine(engine, 12)
+        replica_root = tmp_path / "replicas"
+        workers = 4
+        runtime = ServingRuntime(
+            engine,
+            ServerConfig(max_batch=1, num_workers=workers, publish_every_groups=1),
+            replica_dir=replica_root,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with runtime:
+                futures = []
+                for wave in range(30):
+                    futures += [
+                        runtime.submit(QueryRequest(queries=probe_queries(1, seed=s), k=3))
+                        for s in range(workers)
+                    ]
+                    runtime.ingest([make_trajectory(4000 + wave)])
+                    assert len(list(replica_root.iterdir())) <= workers + 1
+                for future in futures:
+                    future.result(timeout=60)  # raises if a restore lost its files
+                runtime.ingest([make_trajectory(5000)])
+                assert [path.name for path in replica_root.iterdir()] == ["gen_000032"]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_replica_restores_never_overlap(self, monkeypatch):
+        """Workers restore replicas one at a time, process-wide: a restore
+        is GIL-bound, and concurrent ``np.load`` header parses can fail."""
+        original_restore = Engine.restore
+        guard = threading.Lock()
+        active, concurrency = [0], []
+
+        def tracked_restore(*args, **kwargs):
+            with guard:
+                active[0] += 1
+                concurrency.append(active[0])
+            try:
+                time.sleep(0.005)  # widen the window a second restore could enter
+                return original_restore(*args, **kwargs)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        monkeypatch.setattr(Engine, "restore", tracked_restore)
+        engine = make_engine()
+        seed_engine(engine, 12)
+        workers = 4
+        config = ServerConfig(max_batch=1, num_workers=workers, publish_every_groups=1)
+        with ServingRuntime(engine, config) as runtime:
+            for wave in range(5):
+                requests = [
+                    QueryRequest(queries=probe_queries(1, seed=s), k=3) for s in range(2 * workers)
+                ]
+                expected = [engine.query(request) for request in requests]
+                futures = [runtime.submit(request) for request in requests]
+                for future, reference in zip(futures, expected):
+                    assert_responses_identical(future.result(timeout=60), reference)
+                runtime.ingest([make_trajectory(6000 + wave)])  # the next generation
+        assert len(concurrency) >= workers  # every worker restored at least once
+        assert max(concurrency) == 1
 
 
 # ---------------------------------------------------------------------- #

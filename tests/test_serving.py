@@ -3,6 +3,8 @@
 The contract under test is *exactness*: the chunked, partially-selected
 index must return the same neighbours and ranks as a brute-force float64
 distance matrix with a stable full argsort, on data without contrived ties.
+Also covers ``check_new_ids``, the explicit-id check behind every backend's
+``add``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.eval.similarity import (
     ranks_of_ground_truth,
     top_k_indices,
 )
-from repro.serving.index import SimilarityIndex
+from repro.serving.index import SimilarityIndex, check_new_ids
 from repro.serving.store import FORMAT_VERSION, EmbeddingStore
 
 
@@ -225,9 +227,43 @@ class TestEmbeddingStore:
     def test_store_to_index_end_to_end(self, rng):
         vectors = rng.standard_normal((80, 6)).astype(np.float32)
         store = EmbeddingStore(vectors)
-        result = store.index(database_chunk_size=16).topk(vectors[:10], 3)
+        index = SimilarityIndex(store.vectors, database_chunk_size=16)
+        result = index.topk(vectors[:10], 3)
         # Each vector's own row is its nearest neighbour at distance ~0.
         np.testing.assert_array_equal(result.indices[:, 0], np.arange(10))
+
+
+class TestCheckNewIds:
+    def test_returns_int64_ids_in_input_order(self):
+        ids = check_new_ids([7, 3, 5], 3, present={1, 2})
+        assert ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, [7, 3, 5])
+
+    def test_accepts_dict_key_views(self):
+        rows = {4: "a", 9: "b"}
+        np.testing.assert_array_equal(check_new_ids(np.array([1, 2]), 2, rows.keys()), [1, 2])
+        with pytest.raises(ValueError, match="row id 9 already present"):
+            check_new_ids(np.array([1, 9]), 2, rows.keys())
+
+    @pytest.mark.parametrize("ids", [[1, 2, 3], [[1], [2]], []])
+    def test_one_id_per_row(self, ids):
+        with pytest.raises(ValueError, match="exactly one entry per vector row"):
+            check_new_ids(ids, 2, set())
+
+    def test_duplicates_rejected(self):
+        with pytest.raises(ValueError, match="ids must be unique"):
+            check_new_ids([4, 8, 4], 3, set())
+
+    def test_names_the_first_offender_in_input_order(self):
+        with pytest.raises(ValueError, match="row id 9 already present"):
+            check_new_ids([20, 9, 3, 5], 4, present={3, 5, 9})
+
+    def test_tombstoned_rows_cannot_be_reused_until_compaction(self):
+        with pytest.raises(ValueError, match="row id 4 is tombstoned but still stored"):
+            check_new_ids([21, 4, 8], 3, present={8}, tombstoned={4})
+        # Present and tombstoned offenders in one batch: input order decides.
+        with pytest.raises(ValueError, match="row id 8 already present"):
+            check_new_ids([21, 8, 4], 3, present={8}, tombstoned={4})
 
 
 class TestEvalHelpers:

@@ -1,4 +1,4 @@
-"""Tests for the streaming layer: reader, batcher, shards, ingest service.
+"""Tests for the streaming layer: the JSONL tail reader and the sharded index.
 
 The load-bearing contract is *bit-identity*: a :class:`ShardedIndex` whose
 shard capacity is a multiple of its database chunk size must return exactly
@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving.index import SimilarityIndex
-from repro.streaming.reader import MicroBatcher, TrajectoryStreamReader
-from repro.streaming.service import SNAPSHOT_FORMAT_VERSION, IngestService
+from repro.streaming.reader import TrajectoryStreamReader
 from repro.streaming.shards import ShardedIndex
 from repro.trajectory import Trajectory, append_trajectories
 
@@ -29,14 +28,6 @@ def make_trajectory(trajectory_id: int, length: int) -> Trajectory:
         timestamps=[float(1000 + 10 * i) for i in range(length)],
         user_id=trajectory_id % 5,
         trajectory_id=trajectory_id,
-    )
-
-
-def id_encode(batch: list[Trajectory]) -> np.ndarray:
-    """Deterministic per-trajectory embedding, independent of batching."""
-    return np.array(
-        [[len(t), t.trajectory_id % 7, (t.trajectory_id * 13) % 11] for t in batch],
-        dtype=np.float32,
     )
 
 
@@ -109,41 +100,6 @@ class TestTrajectoryStreamReader:
         assert [t.trajectory_id for t in reader] == [2, 3, 4]
         with pytest.raises(ValueError):
             reader.poll(max_records=0)
-
-
-class TestMicroBatcher:
-    def test_bucket_fills_emit_batches(self):
-        batcher = MicroBatcher(batch_size=3, bucket_width=10)
-        emitted = []
-        # lengths 4, 5, 6 share bucket 0; 25 lands in bucket 2.
-        for i, length in enumerate([4, 25, 5, 6]):
-            batch = batcher.add(make_trajectory(i, length))
-            if batch is not None:
-                emitted.append(batch)
-        assert len(emitted) == 1
-        assert [len(t) for t in emitted[0]] == [4, 5, 6]
-        assert batcher.pending == 1
-
-    def test_flush_drains_partials_shortest_first(self):
-        batcher = MicroBatcher(batch_size=10, bucket_width=10)
-        for i, length in enumerate([35, 4, 22, 5]):
-            assert batcher.add(make_trajectory(i, length)) is None
-        batches = batcher.flush()
-        assert [[len(t) for t in batch] for batch in batches] == [[4, 5], [22], [35]]
-        assert batcher.pending == 0
-        assert batcher.flush() == []
-
-    def test_add_many_yields_batches(self):
-        batcher = MicroBatcher(batch_size=2, bucket_width=1000)
-        batches = list(batcher.add_many(make_trajectory(i, 5) for i in range(5)))
-        assert [len(b) for b in batches] == [2, 2]
-        assert batcher.pending == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(bucket_width=0)
 
 
 class TestShardedIndexBitIdentity:
@@ -293,115 +249,3 @@ class TestShardedIndexMutation:
         assert result.indices.shape == (3, 0)
         with pytest.raises(ValueError):
             index.top_k(np.zeros((3, 4), dtype=np.float32), k=0)
-
-
-class TestIngestService:
-    def test_ingest_encodes_each_trajectory_exactly_once(self, tmp_path):
-        seen: list[int] = []
-
-        def counting_encode(batch):
-            seen.extend(t.trajectory_id for t in batch)
-            return id_encode(batch)
-
-        path = tmp_path / "arrivals.jsonl"
-        reader = TrajectoryStreamReader(path)
-        service = IngestService(
-            counting_encode, shard_capacity=8, batch_size=4, bucket_width=8
-        )
-        append_trajectories(path, [make_trajectory(i, 3 + i % 9) for i in range(10)])
-        assert service.drain(reader) == 10
-        append_trajectories(path, [make_trajectory(i, 3 + i % 9) for i in range(10, 16)])
-        assert service.drain(reader) == 6
-        assert sorted(seen) == list(range(16))  # once each, never re-encoded
-        assert len(service) == 16
-
-    def test_incremental_append_does_not_touch_sealed_shards(self, rng):
-        service = IngestService(id_encode, shard_capacity=4, batch_size=4)
-        service.ingest([make_trajectory(i, 5) for i in range(8)])
-        sealed = service.index.shards[:2]
-        sealed_lengths = [len(s) for s in sealed]
-        service.ingest([make_trajectory(i, 5) for i in range(8, 14)])
-        # the sealed shard objects are the same objects, same row counts
-        assert service.index.shards[:2] == sealed
-        assert [len(s) for s in sealed] == sealed_lengths
-
-    def test_row_ids_map_back_to_trajectory_ids(self):
-        service = IngestService(id_encode, batch_size=3, bucket_width=4)
-        trajectories = [make_trajectory(100 + i, 3 + 2 * i) for i in range(7)]
-        service.ingest(trajectories)
-        result = service.top_k(id_encode(trajectories), k=1)
-        matched = service.trajectory_ids(result.indices[:, 0])
-        np.testing.assert_array_equal(matched, [100 + i for i in range(7)])
-
-    def test_query_cache_hits_and_invalidates_on_mutation(self):
-        service = IngestService(id_encode, cache_size=4)
-        service.ingest([make_trajectory(i, 4) for i in range(6)])
-        queries = id_encode([make_trajectory(0, 4)])
-        first = service.top_k(queries, k=2)
-        assert service.cache_stats == {"hits": 0, "misses": 1, "entries": 1}
-        second = service.top_k(queries, k=2)
-        assert second is first  # served from the LRU
-        assert service.cache_stats["hits"] == 1
-        # shared objects are frozen: one caller cannot poison another's answer
-        with pytest.raises(ValueError):
-            first.indices[0, 0] = 99
-        service.ingest([make_trajectory(99, 4)])  # generation bump
-        third = service.top_k(queries, k=2)
-        assert third is not first
-        assert service.cache_stats["misses"] == 2
-        # different k is a different entry
-        service.top_k(queries, k=1)
-        assert service.cache_stats["misses"] == 3
-
-    def test_remove_drops_mapping_and_results(self):
-        service = IngestService(id_encode)
-        trajectories = [make_trajectory(i, 4 + i) for i in range(5)]
-        service.ingest(trajectories)
-        assert service.remove([0, 1]) == 2
-        assert len(service) == 3
-        result = service.top_k(id_encode(trajectories), k=3)
-        assert (result.indices >= 2).all()
-
-    def test_snapshot_restore_round_trip(self, tmp_path, rng):
-        service = IngestService(
-            id_encode, shard_capacity=4, batch_size=3, metadata={"model": "test"}
-        )
-        trajectories = [make_trajectory(200 + i, 3 + i % 6) for i in range(11)]
-        service.ingest(trajectories)
-        service.remove([1, 5])
-        queries = rng.standard_normal((6, 3)).astype(np.float32)
-        expected = service.top_k(queries, k=4)
-
-        snapshot_dir = service.snapshot(tmp_path / "snap")
-        restored = IngestService.restore(snapshot_dir, id_encode)
-        assert restored.metadata == {"model": "test"}
-        assert len(restored) == len(service)
-        result = restored.top_k(queries, k=4)
-        np.testing.assert_array_equal(result.indices, expected.indices)
-        assert (
-            result.distances.view(np.uint32) == expected.distances.view(np.uint32)
-        ).all()
-        np.testing.assert_array_equal(
-            restored.trajectory_ids(result.indices), service.trajectory_ids(expected.indices)
-        )
-        # new rows after restore continue the id sequence, not reuse dead ids
-        new_ids = restored.index.add(np.zeros((1, 3), dtype=np.float32))
-        assert new_ids[0] == 11
-
-    def test_snapshot_restore_empty_service(self, tmp_path):
-        service = IngestService(id_encode)
-        restored = IngestService.restore(service.snapshot(tmp_path / "snap"), id_encode)
-        assert len(restored) == 0
-
-    def test_restore_refuses_future_format(self, tmp_path):
-        service = IngestService(id_encode)
-        service.ingest([make_trajectory(0, 4)])
-        snapshot_dir = service.snapshot(tmp_path / "snap")
-        manifest_path = snapshot_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = SNAPSHOT_FORMAT_VERSION + 1
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format"):
-            IngestService.restore(snapshot_dir, id_encode)
-        with pytest.raises(ValueError, match="snapshot"):
-            IngestService.restore(tmp_path / "nowhere", id_encode)
