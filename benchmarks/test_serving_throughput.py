@@ -1,11 +1,13 @@
-"""Micro-benchmark: SimilarityIndex vs. the brute-force search path.
+"""Micro-benchmark: the ``"chunked"`` backend vs. the brute-force search path.
 
 Unlike the figure/table benchmarks this one times the *serving* hot path in
 isolation, on the acceptance-criterion workload: 1 000 queries against a
-5 000-trajectory database of 64-d representations.  The brute-force
-reference is the seed implementation — a float64 ``(Q, D)`` distance matrix
-followed by a stable full argsort per query — and the index must return the
-identical neighbour lists at least 3x faster.
+5 000-trajectory database of 64-d representations.  The timed index is the
+shipped one — ``create_backend("chunked")``, what
+``EngineConfig(backend="chunked")`` and perfbench's exact oracle run.  The
+brute-force reference is the seed implementation — a float64 ``(Q, D)``
+distance matrix followed by a stable full argsort per query — and the index
+must return the identical neighbour lists at least 3x faster.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.serving.index import SimilarityIndex
+from repro.api import create_backend
 
 NUM_QUERIES = 1_000
 DATABASE_SIZE = 5_000
@@ -51,10 +53,11 @@ def test_serving_topk_speedup_over_bruteforce(benchmark, once):
     rng = np.random.default_rng(17)
     database = rng.standard_normal((DATABASE_SIZE, DIM)).astype(np.float32)
     queries = rng.standard_normal((NUM_QUERIES, DIM)).astype(np.float32)
-    index = SimilarityIndex(database)
+    index = create_backend("chunked")
+    index.add(database)
 
     brute_seconds, brute_indices = best_of(lambda: bruteforce_topk(queries, database, K))
-    index_seconds, result = best_of(lambda: index.topk(queries, K))
+    index_seconds, result = best_of(lambda: index.top_k(queries, K))
     # Identical neighbour lists, not just overlapping sets.
     np.testing.assert_array_equal(result.indices, brute_indices)
 
@@ -66,7 +69,7 @@ def test_serving_topk_speedup_over_bruteforce(benchmark, once):
     )
 
     # Record the timed run under pytest-benchmark as well.
-    once(benchmark, lambda: index.topk(queries, K))
+    once(benchmark, lambda: index.top_k(queries, K))
     benchmark.extra_info["bruteforce_seconds"] = brute_seconds
     benchmark.extra_info["index_seconds"] = index_seconds
     benchmark.extra_info["speedup"] = speedup

@@ -15,13 +15,17 @@ two classic ANN structures the related literature popularised:
   query are exactly re-ranked.
 
 Both implement the full :class:`repro.api.backends.IndexBackend` contract
-(add / tombstone remove / compact, snapshot via ``segments()``, exact
-``ranks_of``) and are registered in the :mod:`repro.api` backend registry —
-select them with ``EngineConfig(backend="ivf", backend_params={...})``.
+and are registered in the :mod:`repro.api` backend registry — select them
+with ``EngineConfig(backend="ivf", backend_params={...})``.  Their rows live
+in the shared row store (:class:`~repro.ann.base.AnnBackendBase` is a
+:class:`~repro.streaming.shards.ShardedIndex` with one never-sealing
+segment), so add / tombstone remove / compact, snapshots via ``segments()``
+and exact ``ranks_of`` are the store's; this package adds the quantized
+structures and their probe scans.
 
 This package sits *below* :mod:`repro.api` in the layer stack: it builds on
 the shared serving kernels (:mod:`repro.serving.index`) and the streaming
-layer's geometry defaults, never on the facade; registration happens in
+layer's row store, never on the facade; registration happens in
 :mod:`repro.api.backends`.
 """
 

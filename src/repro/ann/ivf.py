@@ -38,8 +38,8 @@ kernel's own budget (at least one query per run); a split block gives each
 run's lists fewer queries, so its GEMM shapes — and last bits — may differ.
 
 ``nprobe >= nlist`` probes everything; the scan then degenerates to the
-bruteforce backend's exact full-matrix path, bit-identically (see
-:meth:`repro.ann.base.AnnBackendBase._exact_top_k`).
+bruteforce backend's exact full-matrix kernel, bit-identically (see
+:func:`repro.serving.index.full_matrix_top_k`).
 """
 
 from __future__ import annotations
@@ -130,19 +130,21 @@ class IVFBackend(AnnBackendBase):
     # Training / structure
     # ------------------------------------------------------------------ #
     def _train_centroids(self) -> np.ndarray:
-        train_rows = min(self.train_size, self._count)
+        stored = self._segment.vectors
+        train_rows = min(self.train_size, stored.shape[0])
         nlist_eff = min(self.nlist, train_rows)
         if self._centroid_cache is not None:
             cached_rows, cached = self._centroid_cache
             if cached_rows == train_rows and cached.shape[0] == nlist_eff:
                 return cached
-        centroids = kmeans(self._vectors[:train_rows], nlist_eff, seed=self.seed)
+        centroids = kmeans(stored[:train_rows], nlist_eff, seed=self.seed)
         self._centroid_cache = (train_rows, centroids)
         return centroids
 
     def _rebuild_structure(self) -> _IVFStructure:
         centroids = self._train_centroids()
-        stored = self._vectors[: self._count]
+        segment = self._segment
+        stored = segment.vectors
         assignments, _ = assign_to_centroids(stored, centroids)
         order = np.argsort(assignments, kind="stable")
         counts = np.bincount(assignments, minlength=centroids.shape[0])
@@ -154,8 +156,8 @@ class IVFBackend(AnnBackendBase):
             order=order,
             offsets=offsets,
             vectors=np.ascontiguousarray(stored[order]),
-            norms=self._norms[: self._count][order].copy(),
-            ids=self._ids[: self._count][order].copy(),
+            norms=segment.norms[order],
+            ids=segment.ids[order],
             list_of_position=np.repeat(
                 np.arange(centroids.shape[0], dtype=np.int64), counts
             ),
@@ -187,8 +189,8 @@ class IVFBackend(AnnBackendBase):
         )
         list_order = np.argsort(coarse, axis=1, kind="stable")
         alive_per_list = np.diff(structure.offsets)
-        if self._dead_count:
-            dead_grouped = self._dead[: self._count][structure.order]
+        if self.tombstone_count:
+            dead_grouped = self._segment.dead[structure.order]
             alive_per_list = alive_per_list - np.bincount(
                 structure.list_of_position[dead_grouped], minlength=structure.nlist
             )
@@ -232,9 +234,7 @@ class IVFBackend(AnnBackendBase):
         probed[query_index, list_order[query_index, rank]] = True
         probed &= sizes > 0  # empty lists hold no candidates
         candidates = probed @ sizes
-        dead_grouped = (
-            self._dead[: self._count][structure.order] if self._dead_count else None
-        )
+        dead_grouped = self._segment.dead[structure.order] if self.tombstone_count else None
         budget = self.query_chunk_size * self.database_chunk_size
         scores = np.empty((num_queries, width), dtype=np.float32)
         positions = np.empty((num_queries, width), dtype=np.int64)

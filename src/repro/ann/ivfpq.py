@@ -168,8 +168,8 @@ class IVFPQBackend(IVFBackend):
         np.maximum(exact, 0.0, out=exact)
         candidate_ids = structure.ids[rows]
         dead_mask = ~valid
-        if self._dead_count:
-            dead_mask = dead_mask | self._dead[: self._count][structure.order][rows]
+        if self.tombstone_count:
+            dead_mask = dead_mask | self._segment.dead[structure.order][rows]
         exact[dead_mask] = np.inf
         candidate_ids = np.where(dead_mask, np.iinfo(np.int64).max, candidate_ids)
         order = np.lexsort((candidate_ids, exact), axis=-1)[:, :k]

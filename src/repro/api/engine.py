@@ -434,8 +434,8 @@ class Engine:
     def remove(self, row_ids) -> int:
         """Remove rows by global id; returns how many were alive.
 
-        Only backends with tombstone support (``"sharded"``) implement this;
-        append-only backends raise
+        Every built-in backend tombstones; an append-only third-party backend
+        (``supports_removal = False``) raises
         :class:`~repro.api.backends.UnsupportedOperation`.
         """
         removed = self._backend.remove(row_ids)
@@ -739,22 +739,25 @@ class Engine:
         deleted: list[int] = []
         for name in segment_files:
             store = EmbeddingStore.load(directory / name)
-            dead_ids = {int(i) for i in store.metadata.get("deleted_ids", [])}
+            # Sorted, so the tombstone replay order (and thus the restored
+            # layout) never depends on the snapshot's id order.
+            dead_ids = sorted(int(i) for i in store.metadata.get("deleted_ids", []))
+            alive = ~np.isin(store.ids, dead_ids)
             vectors, ids = store.vectors, store.ids
             if dead_ids and not replay_tombstones:
-                keep = np.array([int(i) not in dead_ids for i in ids])
-                vectors, ids = vectors[keep], ids[keep]
+                vectors, ids = vectors[alive], ids[alive]
             engine._backend.add(vectors, ids=ids)
             if replay_tombstones:
-                # dead_ids is a set: sort so the tombstone replay order (and
-                # thus the restored layout) never depends on hash seeding.
-                deleted.extend(sorted(dead_ids))
-            for row_id, trajectory_id in zip(
-                store.ids, store.metadata.get("trajectory_ids", store.ids)
-            ):
-                if int(row_id) in dead_ids:
-                    continue
-                engine._trajectory_ids[int(row_id)] = int(trajectory_id)
+                deleted.extend(dead_ids)
+            # trajectory_ids() defaults to the row id, so only alive rows
+            # whose trajectory id differs need an entry.
+            trajectory_ids = np.asarray(
+                store.metadata.get("trajectory_ids", store.ids), dtype=np.int64
+            )
+            mapped = alive & (trajectory_ids != store.ids)
+            engine._trajectory_ids.update(
+                zip(store.ids[mapped].tolist(), trajectory_ids[mapped].tolist())
+            )
         if deleted:
             engine.remove(deleted)
         engine._backend.next_id = int(manifest.get("next_id", engine._backend.next_id))

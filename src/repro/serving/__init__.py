@@ -3,14 +3,17 @@
 Turns a frozen encoder into a query-able similarity-search service:
 :class:`~repro.serving.store.EmbeddingStore` materialises representations
 once (length-bucketed batching, npz persistence) and
-:class:`~repro.serving.index.SimilarityIndex` answers top-k / most-similar /
-rank queries with chunked float32 distance computation and partial
-(``argpartition``) selection instead of full sorts.
+:mod:`repro.serving.index` holds the scan kernels every index backend runs —
+chunked float32 distance computation with partial (``argpartition``)
+selection, exact counting ranks, and the full-matrix reference top-k.
+:class:`~repro.serving.index.SimilarityIndex` wraps the chunked kernel over
+one frozen matrix; it is the monolithic reference the bit-identity tests
+compare the backends against.
 
-Application code goes through the :class:`repro.api.Engine` facade
-(``EngineConfig(backend="chunked")`` selects this index); the two classes
-are importable from their submodules (:mod:`repro.serving.store`,
-:mod:`repro.serving.index`) only.
+Application code goes through the :class:`repro.api.Engine` facade, whose
+backends keep their rows in :class:`repro.streaming.shards.ShardedIndex`
+segments; the two classes here are importable from their submodules
+(:mod:`repro.serving.store`, :mod:`repro.serving.index`) only.
 """
 
 from repro.serving.index import (

@@ -184,6 +184,40 @@ def finalize_topk(best_d: np.ndarray, best_i: np.ndarray) -> tuple[np.ndarray, n
     return indices, distances
 
 
+def full_matrix_top_k(
+    queries: np.ndarray,
+    database: np.ndarray,
+    database_norms: np.ndarray,
+    row_ids: np.ndarray,
+    k: int,
+    exclude: np.ndarray | None = None,
+) -> SearchResult:
+    """Exact top-k from the whole ``(Q, D)`` distance matrix and a stable sort.
+
+    The reference semantics: one GEMM over every database row, then each
+    query's row ordered by ``(distance, id)`` with ``np.lexsort``.  Rows in
+    the optional ``exclude`` mask (tombstones) are forced to ``+inf`` so they
+    sort last; callers clamp ``k`` to the rows left.  Memory and time are
+    unbounded in the database size, so only the ``"bruteforce"`` oracle and
+    the ANN backends' probe-everything path use it — one kernel, so the two
+    answer bit-identically on the same rows.
+    """
+    squared = pairwise_squared_euclidean(
+        queries,
+        database,
+        query_norms=squared_norms(queries),
+        database_norms=database_norms,
+    )
+    if exclude is not None:
+        squared[:, exclude] = np.inf
+    id_row = np.broadcast_to(row_ids, squared.shape)
+    order = np.lexsort((id_row, squared), axis=-1)[:, :k]
+    return SearchResult(
+        indices=np.take_along_axis(id_row, order, axis=1),
+        distances=np.sqrt(np.take_along_axis(squared, order, axis=1)),
+    )
+
+
 def scan_count_before(
     queries: np.ndarray,
     query_norms: np.ndarray,
@@ -342,10 +376,6 @@ class SimilarityIndex:
             indices[block_slice] = block_indices
             distances[block_slice] = block_distances
         return SearchResult(indices=indices, distances=distances)
-
-    def most_similar(self, queries: np.ndarray) -> SearchResult:
-        """The single nearest database item per query (``topk`` with k=1)."""
-        return self.topk(queries, k=1)
 
     def ranks_of(self, queries: np.ndarray, truth_indices: np.ndarray) -> np.ndarray:
         """1-based rank of ``truth_indices[i]`` in query ``i``'s result list.

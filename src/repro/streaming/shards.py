@@ -1,22 +1,27 @@
-"""Sharded, incrementally-updatable similarity serving.
+"""Segmented row storage: the one row store behind every index backend.
 
-:class:`SimilarityIndex` (PR 1) freezes its database at construction — the
-right trade for a batch evaluation, the wrong one for a service whose corpus
-grows continuously.  This module decomposes the database into append-only
-:class:`IndexShard` segments behind one :class:`ShardedIndex` router:
+Every built-in backend keeps its rows here — float32 vectors, their cached
+squared norms, global ids and a tombstone mask — in append-only
+:class:`IndexShard` segments behind one :class:`ShardedIndex`:
 
-* **appends** go to the newest shard until it reaches capacity, then a fresh
-  shard opens — existing shards (and their cached norms) are never touched,
-  so ingesting new trajectories never re-encodes or re-indexes old ones;
+* **appends** go to the newest segment until it reaches ``shard_capacity``,
+  then a fresh one opens — sealed segments (and their cached norms) are
+  never touched, so ingesting new trajectories never re-encodes or
+  re-indexes old ones.  A store whose class sets ``seals = False`` keeps
+  every row in one segment that never seals and ignores ``shard_capacity``
+  (the ``"chunked"``, ``"bruteforce"`` and ANN layouts);
+* **ids** resolve through one map from alive id to storage position: every
+  segment but the last is full, so position ``p`` sits in segment
+  ``p // shard_capacity`` at row ``p % shard_capacity``;
 * **removals** are tombstones: the row stays in storage but its distance is
   forced to ``+inf`` during scans, so deletes are O(1) and never reshuffle
   surviving ids;
-* **compaction** rewrites the shard list without tombstoned rows, reclaiming
-  their memory once enough garbage accumulates;
-* **queries** fan out: each shard runs the *same* chunked
+* **compaction** rewrites the segment list without tombstoned rows,
+  reclaiming their memory once enough garbage accumulates;
+* **queries** fan out: each segment runs the *same* chunked
   ``argpartition`` kernel as the monolithic index
-  (:func:`repro.serving.index.scan_topk_candidates`) over its own segment,
-  and the per-shard top-k candidate lists are k-way merged by
+  (:func:`repro.serving.index.scan_topk_candidates`) over its own rows,
+  and the per-segment top-k candidate lists are k-way merged by
   ``(distance, id)``.
 
 **Bit-identity.**  When ``shard_capacity`` is a multiple of
@@ -40,7 +45,8 @@ order, so a ``ShardedIndex`` filled in database order reports the same ids a
 
 from __future__ import annotations
 
-from itertools import repeat
+import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -61,6 +67,8 @@ from repro.serving.index import (
 DEFAULT_SHARD_CAPACITY = 8192
 #: Initial allocation of a shard's growable buffer.
 _INITIAL_SHARD_ALLOCATION = 256
+#: Capacity of the one segment of a store that never seals.
+_UNSEALED_CAPACITY = sys.maxsize
 
 
 class IndexShard:
@@ -69,7 +77,8 @@ class IndexShard:
     The shard owns a growable (doubling) float32 buffer of vectors, their
     cached squared norms, their global row ids and a tombstone mask.  It is
     append-only in the segment sense: rows are only ever added at the end
-    (until ``capacity``) or tombstoned — never updated or reordered.
+    (until ``capacity``) or tombstoned — never updated or reordered.  Id
+    lookup belongs to the owning index, which addresses rows by position.
     """
 
     def __init__(self, dim: int, capacity: int, *, database_chunk_size: int = DEFAULT_DATABASE_CHUNK) -> None:
@@ -87,7 +96,6 @@ class IndexShard:
         self._dead = np.zeros(allocation, dtype=bool)
         self._count = 0
         self._dead_count = 0
-        self._rows_by_id: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -95,10 +103,6 @@ class IndexShard:
     def __len__(self) -> int:
         """Stored rows, tombstoned included."""
         return self._count
-
-    @property
-    def alive_count(self) -> int:
-        return self._count - self._dead_count
 
     @property
     def dead_count(self) -> int:
@@ -118,6 +122,11 @@ class IndexShard:
         return self._vectors[: self._count]
 
     @property
+    def norms(self) -> np.ndarray:
+        """Cached squared norms of the stored vectors."""
+        return self._norms[: self._count]
+
+    @property
     def ids(self) -> np.ndarray:
         """Global row ids of the stored rows."""
         return self._ids[: self._count]
@@ -126,14 +135,6 @@ class IndexShard:
     def dead(self) -> np.ndarray:
         """Tombstone mask over the stored rows."""
         return self._dead[: self._count]
-
-    def __contains__(self, row_id: int) -> bool:
-        """Whether ``row_id`` is stored here and alive."""
-        return int(row_id) in self._rows_by_id
-
-    def row_of(self, row_id: int) -> int:
-        """Local row index of an alive global id (KeyError when absent/dead)."""
-        return self._rows_by_id[int(row_id)]
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -173,17 +174,12 @@ class IndexShard:
         self._norms[start:stop] = squared_norms(vectors)
         self._ids[start:stop] = ids
         self._dead[start:stop] = False
-        self._rows_by_id.update(zip(ids.tolist(), range(start, stop)))
         self._count = stop
 
-    def remove(self, row_id: int) -> bool:
-        """Tombstone one row by global id; returns whether it was alive here."""
-        row = self._rows_by_id.pop(int(row_id), None)
-        if row is None:
-            return False
+    def tombstone(self, row: int) -> None:
+        """Mark the alive local ``row`` dead (the owning index tracks liveness)."""
         self._dead[row] = True
         self._dead_count += 1
-        return True
 
     # ------------------------------------------------------------------ #
     # Queries (the PR 1 chunked kernel over this segment)
@@ -202,7 +198,7 @@ class IndexShard:
             block,
             block_norms,
             self.vectors,
-            self._norms[: self._count],
+            self.norms,
             k,
             self.database_chunk_size,
             row_ids=self.ids,
@@ -224,7 +220,7 @@ class IndexShard:
             block,
             block_norms,
             self.vectors,
-            self._norms[: self._count],
+            self.norms,
             truth_d,
             truth_ids,
             self.database_chunk_size,
@@ -232,22 +228,30 @@ class IndexShard:
             exclude=self.dead if self._dead_count else None,
         )
 
-    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stored vectors and cached norms at local ``rows``."""
-        return self._vectors[rows], self._norms[rows]
-
 
 class ShardedIndex:
     """A router over append-only :class:`IndexShard` segments.
 
-    Supports ``add`` / ``remove`` / ``compact`` mutations and the same query
-    surface as :class:`SimilarityIndex` (``top_k`` / ``most_similar`` /
-    ``ranks_of``), with query-time fan-out across shards and a k-way merge of
-    per-shard candidates by ``(distance, id)``.
+    Registered as the ``"sharded"`` backend and the base class of every
+    other built-in one.  Supports ``add`` / ``remove`` / ``compact``
+    mutations, ``top_k`` / ``ranks_of`` queries with fan-out across shards
+    and a k-way merge of per-shard candidates by ``(distance, id)``, and
+    ``segments()`` for snapshots.
 
     ``generation`` increments on every mutation; caches keyed on it (the
     engine's LRU) invalidate automatically.
     """
+
+    name = "sharded"
+    supports_removal = True
+    #: Conformance hint (see ``tests/backend_conformance.py``): exact
+    #: backends promise oracle-identical neighbour ids; approximate ones
+    #: (the ANN package) set this ``False`` and promise faithfulness
+    #: invariants instead.
+    is_exact = True
+    #: ``False`` keeps every row in one segment that never seals;
+    #: ``shard_capacity`` is then ignored.
+    seals = True
 
     def __init__(
         self,
@@ -257,16 +261,17 @@ class ShardedIndex:
         query_chunk_size: int = DEFAULT_QUERY_CHUNK,
         database_chunk_size: int = DEFAULT_DATABASE_CHUNK,
     ) -> None:
-        if shard_capacity < 1:
+        if self.seals and shard_capacity < 1:
             raise ValueError("shard_capacity must be >= 1")
         if query_chunk_size < 1 or database_chunk_size < 1:
             raise ValueError("chunk sizes must be positive")
         self._dim = int(dim) if dim is not None else None
-        self.shard_capacity = int(shard_capacity)
+        self.shard_capacity = int(shard_capacity) if self.seals else _UNSEALED_CAPACITY
         self.query_chunk_size = int(query_chunk_size)
         self.database_chunk_size = int(database_chunk_size)
         self._shards: list[IndexShard] = []
-        self._shard_by_id: dict[int, IndexShard] = {}
+        #: Storage position of every alive row, by id (see the module docstring).
+        self._position_of: dict[int, int] = {}
         #: Ids of tombstoned rows still stored in some shard: re-adding one
         #: would store two rows under the same id (and make snapshots
         #: unrestorable), so `add` rejects them until `compact`.
@@ -288,7 +293,7 @@ class ShardedIndex:
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         """Alive (queryable) rows across all shards."""
-        return sum(shard.alive_count for shard in self._shards)
+        return len(self._position_of)
 
     @property
     def dim(self) -> int | None:
@@ -317,10 +322,16 @@ class ShardedIndex:
     @property
     def tombstone_count(self) -> int:
         """Stored-but-dead rows awaiting :meth:`compact`."""
-        return sum(shard.dead_count for shard in self._shards)
+        return len(self._dead_ids)
 
     def __contains__(self, row_id: int) -> bool:
-        return int(row_id) in self._shard_by_id
+        return int(row_id) in self._position_of
+
+    def segments(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The stored rows as ``(vectors, ids, dead)`` views, one per non-empty shard."""
+        for shard in self._shards:
+            if len(shard):
+                yield shard.vectors, shard.ids, shard.dead
 
     def _check_queries(self, queries: np.ndarray) -> np.ndarray:
         queries = as_float32_matrix(queries, "queries")
@@ -329,6 +340,40 @@ class ShardedIndex:
                 f"query dimension {queries.shape[1]} does not match index dimension {self._dim}"
             )
         return queries
+
+    def _check_top_k(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+        """Validated queries and ``k`` clamped to the alive row count."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return self._check_queries(queries), min(k, len(self))
+
+    def _check_ranks(
+        self, queries: np.ndarray, truth_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated queries, truth ids and the truth rows' storage positions."""
+        queries = self._check_queries(queries)
+        truth = np.asarray(truth_ids, dtype=np.int64)
+        if truth.shape != (queries.shape[0],):
+            raise ValueError("truth_ids must have one entry per query row")
+        try:
+            positions = [self._position_of[row_id] for row_id in truth.tolist()]
+        except KeyError as missing:
+            raise ValueError(
+                f"truth id {missing.args[0]} is not an alive row of the index"
+            ) from None
+        return queries, truth, np.array(positions, dtype=np.int64)
+
+    def _gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stored vectors and cached norms at storage ``positions``."""
+        vectors = np.empty((positions.size, self._dim), dtype=np.float32)
+        norms = np.empty(positions.size, dtype=np.float32)
+        shard_of, row_of = np.divmod(positions, self.shard_capacity)
+        for number in np.unique(shard_of).tolist():
+            take = shard_of == number
+            shard = self._shards[number]
+            vectors[take] = shard.vectors[row_of[take]]
+            norms[take] = shard.norms[row_of[take]]
+        return vectors, norms
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -350,9 +395,10 @@ class ShardedIndex:
         if ids is None:
             ids = np.arange(self._next_id, self._next_id + count, dtype=np.int64)
         else:
-            ids = check_new_ids(ids, count, self._shard_by_id.keys(), self._dead_ids)
+            ids = check_new_ids(ids, count, self._position_of.keys(), self._dead_ids)
         if count == 0:
             return ids
+        start = sum(len(shard) for shard in self._shards)
         written = 0
         while written < count:
             if not self._shards or self._shards[-1].is_full:
@@ -365,10 +411,9 @@ class ShardedIndex:
                 )
             shard = self._shards[-1]
             take = min(shard.remaining, count - written)
-            piece = ids[written : written + take]
-            shard.append(vectors[written : written + take], piece)
-            self._shard_by_id.update(zip(piece.tolist(), repeat(shard)))
+            shard.append(vectors[written : written + take], ids[written : written + take])
             written += take
+        self._position_of.update(zip(ids.tolist(), range(start, start + count)))
         self._next_id = max(self._next_id, int(ids.max()) + 1)
         self.generation += 1
         return ids
@@ -376,11 +421,14 @@ class ShardedIndex:
     def remove(self, ids) -> int:
         """Tombstone rows by global id; returns how many were alive."""
         removed = 0
-        for row_id in np.atleast_1d(np.asarray(ids, dtype=np.int64)):
-            shard = self._shard_by_id.pop(int(row_id), None)
-            if shard is not None and shard.remove(int(row_id)):
-                self._dead_ids.add(int(row_id))
-                removed += 1
+        for row_id in np.atleast_1d(np.asarray(ids, dtype=np.int64)).tolist():
+            position = self._position_of.pop(row_id, None)
+            if position is None:
+                continue
+            shard, row = divmod(position, self.shard_capacity)
+            self._shards[shard].tombstone(row)
+            self._dead_ids.add(row_id)
+            removed += 1
         if removed:
             self.generation += 1
         return removed
@@ -401,7 +449,7 @@ class ShardedIndex:
             survivors_v.append(shard.vectors[alive])
             survivors_i.append(shard.ids[alive])
         self._shards = []
-        self._shard_by_id = {}
+        self._position_of = {}
         self._dead_ids = set()
         next_id = self._next_id
         generation = self.generation
@@ -426,11 +474,8 @@ class ShardedIndex:
         ``database_chunk_size`` (see the module docstring).  ``k`` is
         clamped to the alive row count.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        queries = self._check_queries(queries)
+        queries, k = self._check_top_k(queries, k)
         num_queries = queries.shape[0]
-        k = min(k, len(self))
         indices = np.empty((num_queries, k), dtype=np.int64)
         distances = np.empty((num_queries, k), dtype=np.float32)
         if num_queries == 0 or k == 0:
@@ -457,13 +502,6 @@ class ShardedIndex:
             distances[block_slice] = block_distances[:, :k]
         return SearchResult(indices=indices, distances=distances)
 
-    # The monolithic index spells it ``topk``; accept both.
-    topk = top_k
-
-    def most_similar(self, queries: np.ndarray) -> SearchResult:
-        """The single nearest alive row per query (``top_k`` with k=1)."""
-        return self.top_k(queries, k=1)
-
     def ranks_of(self, queries: np.ndarray, truth_ids: np.ndarray) -> np.ndarray:
         """1-based rank of ``truth_ids[i]`` among query ``i``'s neighbours.
 
@@ -472,14 +510,7 @@ class ShardedIndex:
         rank = 1 + the number of alive rows sorting strictly before the truth
         row (smaller distance, or equal distance and smaller id).
         """
-        queries = self._check_queries(queries)
-        truth = np.asarray(truth_ids, dtype=np.int64)
-        if truth.shape != (queries.shape[0],):
-            raise ValueError("truth_ids must have one entry per query row")
-        for row_id in truth:
-            if int(row_id) not in self._shard_by_id:
-                raise ValueError(f"truth id {int(row_id)} is not an alive row of the index")
-
+        queries, truth, positions = self._check_ranks(queries, truth_ids)
         ranks = np.empty(truth.shape, dtype=np.int64)
         for row in range(0, queries.shape[0], self.query_chunk_size):
             block = queries[row : row + self.query_chunk_size]
@@ -487,17 +518,11 @@ class ShardedIndex:
             block_truth = truth[row : row + block.shape[0]]
             # Pass 1: the truth rows' distances, with the same norms-minus-dot
             # arithmetic as the chunk kernel.
-            gathered = np.empty((block.shape[0], self._dim), dtype=np.float32)
-            gathered_norms = np.empty(block.shape[0], dtype=np.float32)
-            for i, row_id in enumerate(block_truth):
-                shard = self._shard_by_id[int(row_id)]
-                vec, norm = shard.gather(np.array([shard.row_of(int(row_id))]))
-                gathered[i] = vec[0]
-                gathered_norms[i] = norm[0]
+            gathered, gathered_norms = self._gather(positions[row : row + block.shape[0]])
             truth_d = (
                 block_norms
                 + gathered_norms
-                - 2.0 * np.einsum("ij,ij->i", block, gathered)
+                - np.float32(2.0) * np.einsum("ij,ij->i", block, gathered)
             )
             np.maximum(truth_d, 0.0, out=truth_d)
             # Pass 2: count rows sorting strictly before, summed over shards.

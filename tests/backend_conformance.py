@@ -40,9 +40,16 @@ What the contract requires of everyone:
 Backends expose an optional ``is_exact`` attribute (default assumed
 ``True``): exact backends are additionally held to oracle-identical
 neighbour ids; approximate ones to the faithfulness invariants above.
+
+Every built-in backend supports removal, so the append-only branch of the
+contract is exercised through :class:`AppendOnlyIndex`, registered only
+inside :func:`append_only_backend` (``tests/test_append_only_backend.py``
+runs the suite over it).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -53,11 +60,41 @@ from repro.api import (
     QueryRequest,
     UnsupportedOperation,
     create_backend,
+    register_backend,
+    unregister_backend,
 )
+from repro.streaming.shards import ShardedIndex
 
 #: Geometry small enough that a ~60-row corpus exercises chunk boundaries,
 #: shard seals and multi-list probing.
 SMALL_GEOMETRY = dict(shard_capacity=16, query_chunk_size=4, database_chunk_size=8)
+
+
+#: Registry name of :class:`AppendOnlyIndex` while it is registered.
+APPEND_ONLY = "append-only"
+
+
+class AppendOnlyIndex(ShardedIndex):
+    """A minimal append-only backend: the row store without removal."""
+
+    name = APPEND_ONLY
+    supports_removal = False
+
+    def remove(self, ids) -> int:
+        raise UnsupportedOperation(f"the '{self.name}' backend is append-only")
+
+    def compact(self, *, min_tombstones: int = 1) -> bool:
+        return False
+
+
+@contextmanager
+def append_only_backend():
+    """Register :class:`AppendOnlyIndex` for the block; yields its name."""
+    register_backend(APPEND_ONLY, AppendOnlyIndex)
+    try:
+        yield APPEND_ONLY
+    finally:
+        unregister_backend(APPEND_ONLY)
 
 
 def _unused_encoder(batch):  # pragma: no cover - conformance never encodes
@@ -146,6 +183,12 @@ class IndexBackendConformanceSuite:
     def queries(self):
         return np.random.default_rng(202).standard_normal((7, 6)).astype(np.float32)
 
+    @pytest.fixture()
+    def explicit_id_ties(self, corpus):
+        """Rows ``[a, a, b]`` under ids ``[5, 3, 9]``: the exact tie's
+        insertion order disagrees with its id order."""
+        return corpus[[0, 0, 1]], np.array([5, 3, 9], dtype=np.int64)
+
     # ------------------------------------------------------------------ #
     # Ids and the add contract
     # ------------------------------------------------------------------ #
@@ -229,7 +272,7 @@ class IndexBackendConformanceSuite:
         # Float32 |q|^2+|d|^2-2qd cancellation: "zero" only up to ~1e-3 ulps.
         np.testing.assert_allclose(result.distances[:, 0], 0.0, atol=5e-3)
 
-    def test_duplicate_vectors_tie_break_by_id(self, backend_name, dup_corpus):
+    def test_duplicate_vectors_tie_break_by_id(self, backend_name, dup_corpus, explicit_id_ties):
         """If both members of a duplicate pair are returned, the smaller id
         comes first at equal distance (the oracle's stable order)."""
         backend = make_backend(backend_name)
@@ -237,6 +280,13 @@ class IndexBackendConformanceSuite:
         result = backend.top_k(dup_corpus[[3]], 10)
         ids = [int(i) for i in result.indices[0]]
         assert ids[0] == 3 and ids[1] == 17  # both duplicates, id order
+        assert result.distances[0, 0] == result.distances[0, 1]
+        # By id, not by insertion row, when explicit ids disagree with it.
+        vectors, explicit_ids = explicit_id_ties
+        backend = make_backend(backend_name)
+        backend.add(vectors, ids=explicit_ids)
+        result = backend.top_k(vectors[[0]], 2)
+        assert result.indices[0].tolist() == [3, 5]
         assert result.distances[0, 0] == result.distances[0, 1]
 
     def test_k_edge_cases(self, backend_name, corpus, queries):
@@ -265,13 +315,25 @@ class IndexBackendConformanceSuite:
         no_queries = backend.top_k(np.zeros((0, 6), dtype=np.float32), 5)
         assert no_queries.indices.shape == (0, 5)
 
-    def test_ranks_of_is_exact_for_every_backend(self, backend_name, corpus, queries):
+    def test_ranks_of_is_exact_for_every_backend(
+        self, backend_name, corpus, queries, explicit_id_ties
+    ):
         backend = make_backend(backend_name)
         backend.add(corpus)
         truth = np.random.default_rng(303).integers(0, 60, size=7)
         oracle = oracle_on(corpus)
         np.testing.assert_array_equal(
             backend.ranks_of(queries, truth), oracle.ranks_of(queries, truth)
+        )
+        # Exact ties rank by id, whatever the insertion order.
+        vectors, explicit_ids = explicit_id_ties
+        backend = make_backend(backend_name)
+        backend.add(vectors, ids=explicit_ids)
+        probes, truth = vectors[[0, 0]], np.array([5, 3])
+        ranks = backend.ranks_of(probes, truth)
+        np.testing.assert_array_equal(ranks, [2, 1])
+        np.testing.assert_array_equal(
+            ranks, oracle_on(vectors, ids=explicit_ids).ranks_of(probes, truth)
         )
 
     def test_query_dimension_mismatch_raises(self, backend_name, corpus):

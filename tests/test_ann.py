@@ -60,7 +60,7 @@ def per_list_reference(backend, queries, k):
     structure = backend._ensure_structure()
     k = min(k, len(backend))
     offsets = structure.offsets
-    dead = backend._dead[: backend._count][structure.order] if backend.tombstone_count else None
+    dead = backend.shards[0].dead[structure.order] if backend.tombstone_count else None
     is_pq = isinstance(backend, IVFPQBackend)
     width = max(k, backend.rerank) if is_pq else k
     all_ids, all_distances, all_tied = [], [], []

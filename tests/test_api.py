@@ -37,6 +37,7 @@ from repro.api import (
     register_backend,
     unregister_backend,
 )
+from backend_conformance import append_only_backend
 from repro.core import STARTModel, tiny_config
 from repro.roadnet import CityConfig, generate_city
 from repro.streaming.reader import TrajectoryStreamReader
@@ -211,12 +212,13 @@ class TestEngineServing:
         assert not np.isin(ids[:5], response.ids).any()
 
     def test_remove_unsupported_on_append_only_backends(self):
-        for backend in ("chunked", "bruteforce"):
+        with append_only_backend() as backend:
             engine = self.make_engine(backend)
             ids = engine.ingest(fake_corpus(4))
-            with pytest.raises(UnsupportedOperation, match="sharded"):
+            with pytest.raises(UnsupportedOperation, match="append-only"):
                 engine.remove(ids[:1])
             assert engine.compact() is False
+            assert len(engine) == 4
 
     def test_ranks_of_matches_bruteforce_reference(self, rng):
         vectors = rng.standard_normal((80, 6)).astype(np.float32)
@@ -283,15 +285,35 @@ class TestEngineServing:
         ids = sharded.ingest_vectors(rng.standard_normal((20, 4)).astype(np.float32))
         sharded.remove(ids[3:7])
         sharded.snapshot(tmp_path / "snap")
-        chunked = Engine.restore(
-            tmp_path / "snap", linear_encode, config=EngineConfig(backend="chunked")
-        )
-        assert len(chunked) == 16
+        with append_only_backend() as backend:
+            append_only = Engine.restore(
+                tmp_path / "snap", linear_encode, config=EngineConfig(backend=backend)
+            )
+        assert len(append_only) == 16
         queries = rng.standard_normal((3, 4)).astype(np.float32)
-        response = chunked.query(QueryRequest(queries=queries, k=16))
+        response = append_only.query(QueryRequest(queries=queries, k=16))
         assert not np.isin(ids[3:7], response.ids).any()
         expected = sharded.query(QueryRequest(queries=queries, k=16))
         np.testing.assert_array_equal(response.ids, expected.ids)
+
+    def test_restore_maps_only_trajectory_ids_that_differ_from_row_ids(self, rng, tmp_path):
+        """trajectory_ids() defaults to the row id, so a replica stores no
+        entry for rows ingested without one — like the primary."""
+        plain = self.make_engine(shard_capacity=8)
+        plain.ingest_vectors(rng.standard_normal((20, 4)).astype(np.float32))
+        restored = Engine.restore(plain.snapshot(tmp_path / "plain").path, linear_encode)
+        assert restored._trajectory_ids == {}
+        np.testing.assert_array_equal(restored.trajectory_ids(np.arange(20)), np.arange(20))
+        # Identity, explicit and defaulted ids mixed, plus one tombstone.
+        mixed = self.make_engine(shard_capacity=4)
+        mixed.ingest_vectors(
+            rng.standard_normal((6, 4)).astype(np.float32),
+            trajectory_ids=[0, 1, 700, None, 4, 900],
+        )
+        mixed.remove([5])
+        replica = Engine.restore(mixed.snapshot(tmp_path / "mixed").path, linear_encode)
+        np.testing.assert_array_equal(replica.trajectory_ids(np.arange(5)), [0, 1, 700, 3, 4])
+        assert replica._trajectory_ids == {2: 700}
 
     def test_restore_rejects_non_snapshot_and_newer_formats(self, tmp_path):
         with pytest.raises(ValueError, match="not an Engine snapshot"):
