@@ -37,10 +37,10 @@ fair):
 4. **Mixed traffic** — the same query load on a fresh instrumented runtime
    with concurrent ingest waves arriving through ``submit_ingest``
    (background compaction/publication included, forcing mid-run replica
-   refreshes); one timed pass after an untimed warm pass.  Gated much
+   swaps); one timed pass after an untimed warm pass.  Gated much
    softer: ``REPRO_SERVER_MIN_MIXED_SPEEDUP (0.5)`` — on one core every
-   mid-run publish snapshots the whole index, so this gate guards against
-   collapse/deadlock under writes, not for a speedup.  Afterwards
+   mid-run publish snapshots and restores the whole index, so this gate
+   guards against collapse/deadlock under writes, not for a speedup.  Afterwards
    ``runtime.metrics()`` must report the live load: non-zero QPS, batch
    occupancy, cache hit rate, per-backend latency counts and a non-zero
    ingest-lag peak.
@@ -148,8 +148,8 @@ def test_server_load_batched_vs_sequential(benchmark, once):
     )
 
     def warm_up(runtime: ServingRuntime, shift: float) -> None:
-        # Force the worker's first replica restore (a one-off snapshot-load)
-        # out of every timed window; shifted queries stay out of the cache.
+        # Keep the worker's first batch (one-off first-query costs) out of
+        # every timed window; shifted queries stay out of the cache.
         warmup = [
             runtime.submit(QueryRequest(queries=queries[i : i + 1] + shift, k=K))
             for i in range(MAX_BATCH)
@@ -230,8 +230,9 @@ def test_server_load_batched_vs_sequential(benchmark, once):
         f"the instrumented runtime loses {overhead:.1%} QPS (median over "
         f"{OVERHEAD_BLOCKS} runtime pairs: {per_pair}; budget {max_overhead:.0%})"
     )
-    # Softer floor: queries must keep flowing while publishes snapshot the
-    # index mid-run, but on one core that write work is real lost QPS.
+    # Softer floor: queries must keep flowing while publishes snapshot and
+    # restore the index mid-run, but on one core that write work is real
+    # lost QPS.
     mixed_speedup = mixed_qps / sequential_qps
     mixed_floor = float(os.environ.get("REPRO_SERVER_MIN_MIXED_SPEEDUP", "0.5"))
     assert mixed_speedup >= mixed_floor, (

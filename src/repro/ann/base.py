@@ -17,6 +17,8 @@ rebuilds the identical structure and answers bit-identically.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.serving.index import SearchResult, full_matrix_top_k, squared_norms
@@ -29,8 +31,9 @@ class AnnBackendBase(ShardedIndex):
     Subclasses implement :meth:`_rebuild_structure` (train the quantized
     index over the current rows) and :meth:`_search_block` (approximate
     top-k candidates for one query block).  The structure is invalidated by
-    ``add`` and ``compact`` and rebuilt lazily on the next query; tombstones
-    leave it alone (dead rows are masked at query time).
+    ``add`` and ``compact`` and rebuilt lazily on the next query — once,
+    however many threads query at once; tombstones leave it alone (dead rows
+    are masked at query time).
     """
 
     name = "ann"
@@ -43,6 +46,9 @@ class AnnBackendBase(ShardedIndex):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._structure = None
+        # Query workers share one published replica: the first queries on
+        # it must train the lazy structure once, not once per thread.
+        self._structure_lock = threading.Lock()
 
     @property
     def _segment(self) -> IndexShard:
@@ -76,9 +82,10 @@ class AnnBackendBase(ShardedIndex):
         raise NotImplementedError
 
     def _ensure_structure(self):
-        if self._structure is None:
-            self._structure = self._rebuild_structure()
-        return self._structure
+        with self._structure_lock:
+            if self._structure is None:
+                self._structure = self._rebuild_structure()
+            return self._structure
 
     def _search_block(
         self, structure, block: np.ndarray, block_norms: np.ndarray, k: int

@@ -652,37 +652,28 @@ class Engine:
             format_version=SNAPSHOT_FORMAT_VERSION,
         )
 
-    def replicate(self, directory: str | Path | None = None, *, encoder=None) -> "Engine":
+    def replicate(self, directory: str | Path | None = None) -> "Engine":
         """A bit-stable read replica of this engine (snapshot + restore).
 
-        Snapshots the index under ``directory`` (a private temporary
-        directory when ``None``, cleaned up when the replica is garbage
-        collected) and restores it into a fresh engine.  The replica
-        answers vector queries **bit-identically** to this engine at the
-        moment of the call and shares no index state with it afterwards —
-        this is how the serving runtime's query workers get their per-thread
-        indexes.  ``encoder`` defaults to sharing this engine's encoder
-        object; replicas queried with pre-encoded vectors never touch it
-        (callers that encode on replicas concurrently must serialise those
-        encodes themselves — the model is not thread-safe).
+        Snapshots the index under ``directory`` (a temporary directory,
+        removed before returning, when ``None``) and restores it into a
+        fresh engine that holds its rows in memory.  The replica answers
+        vector queries **bit-identically** to this engine at the moment of
+        the call and shares no index state with it afterwards — this is how
+        the serving runtime publishes each generation, the one read-only
+        index all of its query workers answer from.  The replica shares this
+        engine's encoder object; replicas queried with pre-encoded vectors
+        never touch it (callers that encode on replicas concurrently must
+        serialise those encodes themselves — the model is not thread-safe).
         """
-        tmp = None
         if directory is None:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-engine-replica-")
-            directory = tmp.name
+            with tempfile.TemporaryDirectory(prefix="repro-engine-replica-") as staging:
+                return self.replicate(staging)
         self.snapshot(directory)
         # Replicas report into this engine's registry: their counters are
-        # this engine's traffic, just answered from another thread's copy.
+        # this engine's traffic, just answered from another copy.
         metrics = self._metrics if self._metrics.enabled else None
-        replica = Engine.restore(
-            directory,
-            encoder if encoder is not None else self.model,
-            metrics=metrics,
-            clock=self._clock,
-        )
-        if tmp is not None:
-            replica._replica_tmpdir = tmp
-        return replica
+        return Engine.restore(directory, self.model, metrics=metrics, clock=self._clock)
 
     @classmethod
     def restore(

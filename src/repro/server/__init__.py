@@ -2,9 +2,9 @@
 
 Public surface:
 
-* :class:`~repro.server.runtime.ServingRuntime` — batched queries over
-  worker-owned replica snapshots, background stream ingest + compaction,
-  graceful drain and lossless checkpoint/restart.
+* :class:`~repro.server.runtime.ServingRuntime` — batched queries over one
+  shared replica per published generation, background stream ingest +
+  compaction, graceful drain and lossless checkpoint/restart.
 * :class:`~repro.server.config.ServerConfig` / :class:`~repro.server.config.ServerHooks`
   — knobs and observation/fault-injection points.
 * :class:`~repro.server.aggregator.BatchAggregator` — size-or-timeout

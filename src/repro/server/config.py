@@ -28,20 +28,21 @@ class ServerConfig:
     Query path — ``max_batch`` and ``linger`` drive the size-or-timeout
     batch aggregator (a batch is dispatched when it holds ``max_batch``
     requests or when its oldest request has waited ``linger`` seconds);
-    ``num_workers`` query workers each own a bit-stable replica of the
-    primary index; ``coalesce`` picks the batch execution mode of
-    :meth:`repro.api.Engine.query_many` — ``"aligned"`` (default) is
-    bitwise identical to sequential :meth:`~repro.api.Engine.query`,
-    ``"fused"`` amortises one index scan across the batch at last-ulp
-    distance drift.
+    ``num_workers`` query workers share one bit-stable replica of the
+    primary index per published generation; ``coalesce`` picks the batch
+    execution mode of :meth:`repro.api.Engine.query_many` — ``"aligned"``
+    (default) is bitwise identical to sequential
+    :meth:`~repro.api.Engine.query`, ``"fused"`` amortises one index scan
+    across the batch at last-ulp distance drift.
 
     Ingest path — stream records are ingested in deterministic groups of
     exactly ``ingest_group_size`` records (the unit of crash-restart
     replay); after every ``publish_every_groups`` ingested groups the
-    primary is snapshotted and a fresh replica generation is published to
-    the workers; ``compact_min_tombstones > 0`` compacts the primary before
-    each publish.  ``poll_interval`` is the background thread's stream
-    polling cadence (clock seconds).
+    primary is replicated (snapshot + one restore) and the replica is
+    published to the workers as a new generation;
+    ``compact_min_tombstones > 0`` compacts the primary before each
+    publish.  ``poll_interval`` is the background thread's stream polling
+    cadence (clock seconds).
 
     Durability — with a ``checkpoint_dir``, every ``checkpoint_every_publishes``-th
     publish also writes a restartable checkpoint (index snapshot + stream
@@ -105,7 +106,7 @@ class ServerHooks:
     """
 
     def on_batch_start(self, worker_id: int, batch_size: int, generation: int) -> None:
-        """A query worker is about to execute a batch against its replica."""
+        """A query worker is about to execute a batch against ``generation``'s replica."""
 
     def on_batch_done(self, worker_id: int, batch_size: int, generation: int) -> None:
         """The batch completed and every future in it has been resolved."""

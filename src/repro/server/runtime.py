@@ -13,21 +13,23 @@ to the same requests issued sequentially through ``Engine.query`` (see
 :meth:`Engine.query_many <repro.api.Engine.query_many>` for why shape
 matching is what buys this).
 
-**Query workers over replicas** (``num_workers`` daemon threads).  Each
-worker owns a private replica engine restored from the latest *published
-generation* — an ``Engine.snapshot`` of the primary, which restores
-bit-identically by the facade's existing contract.  A batch is executed
-entirely against one replica generation, so concurrent ingestion can never
-tear a batch's view of the index.  Workers encode trajectory queries under
-a shared encode lock (the model is not thread-safe); the index scans
-release the GIL and run genuinely in parallel.
+**Query workers over one shared replica** (``num_workers`` daemon
+threads).  Each *published generation* is one read-only replica engine,
+built once at publish time by :meth:`Engine.replicate
+<repro.api.Engine.replicate>` — an ``Engine.snapshot`` of the primary
+restored bit-identically by the facade's existing contract — and every
+worker answers from it.  A worker reads the published replica at each batch
+boundary and executes the whole batch against it, so concurrent ingestion
+can never tear a batch's view of the index.  Workers encode trajectory
+queries under a shared encode lock (the model is not thread-safe); the
+index scans release the GIL and run genuinely in parallel.
 
 **Ingest/compaction thread** (one daemon).  Direct waves
 (:meth:`submit_ingest`) and tailed JSONL records
 (:meth:`attach_stream`) feed the primary.  Stream records are ingested in
 deterministic groups of exactly ``ingest_group_size`` records — the unit of
 crash-restart replay — and after every ``publish_every_groups`` groups the
-primary is compacted (optionally) and snapshotted, publishing a new replica
+primary is compacted (optionally) and replicated, publishing a new replica
 generation that workers adopt at their next batch boundary.
 
 **Checkpointing + graceful shutdown.**  With a ``checkpoint_dir``, publishes
@@ -78,7 +80,7 @@ from repro.utils.clock import Clock, SystemClock
 #: Worker-queue sentinel: the receiving worker exits cleanly.
 _STOP = object()
 
-#: Serialises replica restores across every worker in the process.  A
+#: Serialises replica restores across every runtime in the process.  A
 #: restore is GIL-bound (two at once take as long as two in a row), and
 #: ``np.load`` parses each array header with ``ast.literal_eval``: on CPython
 #: 3.11 the AST constructor keeps its recursion counter in interpreter-wide
@@ -88,14 +90,12 @@ _RESTORE_LOCK = threading.Lock()
 
 
 class _QueryWorker(threading.Thread):
-    """One query worker: private replica engine + batch execution loop."""
+    """One query worker: runs each batch on the published replica."""
 
     def __init__(self, runtime: "ServingRuntime", worker_id: int) -> None:
         super().__init__(name=f"repro-server-worker-{worker_id}", daemon=True)
         self.runtime = runtime
         self.worker_id = worker_id
-        self.replica: Engine | None = None
-        self.replica_generation = -1
 
     def run(self) -> None:
         reason = "stop"
@@ -105,15 +105,12 @@ class _QueryWorker(threading.Thread):
                 if item is _STOP:
                     return
                 batch: list[PendingQuery] = item
+                with self.runtime._state_lock:
+                    generation, replica = self.runtime._published
                 try:
-                    self._refresh_replica()
-                    self.runtime._hooks.on_batch_start(
-                        self.worker_id, len(batch), self.replica_generation
-                    )
-                    self.runtime._execute_batch(batch, self.replica)
-                    self.runtime._hooks.on_batch_done(
-                        self.worker_id, len(batch), self.replica_generation
-                    )
+                    self.runtime._hooks.on_batch_start(self.worker_id, len(batch), generation)
+                    self.runtime._execute_batch(batch, replica)
+                    self.runtime._hooks.on_batch_done(self.worker_id, len(batch), generation)
                 except KillWorker:
                     reason = "killed"
                     survivors = [entry for entry in batch if not entry.future.done()]
@@ -123,42 +120,25 @@ class _QueryWorker(threading.Thread):
                         self.runtime._queue.put(survivors)
                     return
                 except Exception as exc:
-                    # Batch-level failure (replica restore, backend error):
-                    # fail this batch's callers, keep serving the next one.
+                    # Batch-level failure (hook or backend error): fail
+                    # this batch's callers, keep serving the next one.
                     for entry in batch:
                         if not entry.future.done():
                             entry.future.set_exception(exc)
+                # An idle worker must not keep a superseded generation alive.
+                replica = None
         finally:
             self.runtime._worker_exited(self, reason)
-
-    def _refresh_replica(self) -> None:
-        pinned = self.runtime._pin_published(self.replica_generation)
-        if pinned is None:
-            return
-        generation, directory = pinned
-        try:
-            # Replicas report into the runtime's registry: the serving path
-            # (cache hits, backend scans) runs here, not on the primary.
-            registry = self.runtime._metrics_registry
-            with _RESTORE_LOCK:
-                self.replica = Engine.restore(
-                    directory,
-                    self.runtime.primary.model,
-                    metrics=registry if registry.enabled else None,
-                    clock=self.runtime._clock,
-                )
-        finally:
-            self.runtime._unpin(generation)
-        self.replica_generation = generation
 
 
 class ServingRuntime:
     """Concurrent query/ingest serving over one :class:`~repro.api.Engine`.
 
     The wrapped ``engine`` becomes the runtime's **primary**: only the
-    ingest thread mutates it, and queries are served from bit-stable
-    replica snapshots — callers must stop driving it directly.  Use as a
-    context manager, or call :meth:`start` / :meth:`shutdown` explicitly.
+    ingest thread mutates it, and queries are served from the bit-stable
+    replica of the latest publish — callers must stop driving it directly.
+    Use as a context manager, or call :meth:`start` / :meth:`shutdown`
+    explicitly.
 
     >>> runtime = ServingRuntime(engine, ServerConfig(num_workers=4))
     >>> with runtime:
@@ -202,13 +182,8 @@ class ServingRuntime:
             self._replica_tmp = TemporaryDirectory(prefix="repro-server-replicas-")
             replica_dir = self._replica_tmp.name
         self._replica_root = Path(replica_dir)
-        self._published: tuple[int, Path] | None = None
+        self._published: tuple[int, Engine] | None = None
         self._generation = 0
-        # Generation directories this runtime wrote and has not deleted yet,
-        # and how many workers are restoring from each (guarded by
-        # _state_lock): a publish deletes every unpinned stale generation.
-        self._replica_dirs: dict[int, Path] = {}
-        self._replica_pins: dict[int, int] = {}
         # Ingestion.
         self._ingest_lock = threading.Lock()
         self._ingest_queue: deque[list[Trajectory]] = deque()
@@ -572,25 +547,6 @@ class ServingRuntime:
     # ------------------------------------------------------------------ #
     # Worker supervision
     # ------------------------------------------------------------------ #
-    def _pin_published(self, current: int) -> tuple[int, Path] | None:
-        """Pin the published generation for a restore, unless it is ``current``.
-
-        A pinned generation directory survives publishes until
-        :meth:`_unpin`; returns ``None`` when the caller is already up to date.
-        """
-        with self._state_lock:
-            generation, directory = self._published
-            if generation == current:
-                return None
-            self._replica_pins[generation] = self._replica_pins.get(generation, 0) + 1
-        return generation, directory
-
-    def _unpin(self, generation: int) -> None:
-        with self._state_lock:
-            remaining = self._replica_pins.pop(generation) - 1
-            if remaining:
-                self._replica_pins[generation] = remaining
-
     def _spawn_worker_locked(self) -> None:
         worker = _QueryWorker(self, self._next_worker_id)
         self._next_worker_id += 1
@@ -681,17 +637,9 @@ class ServingRuntime:
         thread does once per ``poll_interval``.  Returns what happened.
         """
         with self._ingest_lock:
-            waves = records = 0
-            while True:
-                try:
-                    wave = self._ingest_queue.popleft()
-                except IndexError:
-                    break
-                self._ingest_wave_locked(wave)
-                waves += 1
-            records = self._poll_stream_locked()
-            published = self._maybe_publish_locked()
-        return {"waves": waves, "stream_records": records, "published": published}
+            result = self._drain_ingest_locked(force_partial=False)
+            result["published"] = self._maybe_publish_locked()
+        return result
 
     def flush_ingest(self) -> dict[str, int | bool]:
         """Like :meth:`pump`, but also force the partial stream group through
@@ -801,24 +749,23 @@ class ServingRuntime:
         return True
 
     def _publish_locked(self, *, force_checkpoint: bool = False) -> None:
-        """Snapshot the primary and atomically publish a new replica generation."""
+        """Replicate the primary and atomically publish it as a new generation."""
         if self.config.compact_min_tombstones > 0:
             self.primary.compact(min_tombstones=self.config.compact_min_tombstones)
         self._generation += 1
-        directory = self._replica_root / f"gen_{self._generation:06d}"
-        self.primary.snapshot(directory)
+        staging = self._replica_root / f"gen_{self._generation:06d}"
+        try:
+            with _RESTORE_LOCK:
+                replica = self.primary.replicate(staging)
+        finally:
+            # The replica holds its rows in memory: the snapshot only staged them.
+            shutil.rmtree(staging, ignore_errors=True)
+        # The replica reports into the runtime's registry: the serving path
+        # (cache hits, backend scans) runs there, not on the primary.
+        registry = self._metrics_registry
+        replica.bind_metrics(registry if registry.enabled else None, clock=self._clock)
         with self._state_lock:
-            self._published = (self._generation, directory)
-            self._replica_dirs[self._generation] = directory
-            stale = [
-                self._replica_dirs.pop(generation)
-                for generation in list(self._replica_dirs)
-                if generation != self._generation and generation not in self._replica_pins
-            ]
-        # Workers only ever pin the current generation, so nothing can start
-        # reading a stale directory once it has left the map.
-        for stale_directory in stale:
-            shutil.rmtree(stale_directory, ignore_errors=True)
+            self._published = (self._generation, replica)
         self._groups_since_publish = 0
         self._publishes += 1
         self._publishes_since_checkpoint += 1

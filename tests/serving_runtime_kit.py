@@ -18,7 +18,9 @@ flakes.  This kit removes real time from the equation entirely:
   :class:`~repro.server.KillWorker` faults on the batch hooks, and
   :class:`FlakyEncoder` poisons chosen trajectory ids so a single request's
   encode fails mid-batch.  Both fire at deterministic points (batch
-  boundaries), not at timers.
+  boundaries), not at timers.  :class:`BatchGate` parks the next batch at
+  its start until the test releases it, so publishes can land while that
+  batch holds the generation it read.
 * **Bit-level oracles** — :func:`assert_responses_identical` compares
   responses array-bitwise, and :func:`engine_fingerprint` reduces an entire
   engine to a comparable tuple (rows, probe answers, id mapping) for
@@ -199,6 +201,35 @@ class FaultInjector(HookRecorder):
                 self._kills_remaining -= 1
         if fire:
             raise KillWorker(f"armed fault: killing worker {worker_id}")
+
+
+class BatchGate(HookRecorder):
+    """A :class:`HookRecorder` that holds the next batch at its start.
+
+    The first ``on_batch_start`` blocks until :meth:`release`; :attr:`holding`
+    is set once a worker is parked there, so a test can publish new
+    generations while that batch waits on the generation it already read.
+    A hold never outlives a minute (the batch then fails), so a test that
+    forgets to release cannot hang its worker forever.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.holding = threading.Event()
+        self._released = threading.Event()
+        self._armed = True
+
+    def release(self) -> None:
+        self._released.set()
+
+    def on_batch_start(self, worker_id, batch_size, generation) -> None:
+        super().on_batch_start(worker_id, batch_size, generation)
+        with self._lock:
+            hold, self._armed = self._armed, False
+        if hold:
+            self.holding.set()
+            if not self._released.wait(timeout=60):
+                raise TimeoutError("the held batch was never released")
 
 
 class FlakyEncoder:

@@ -17,6 +17,8 @@ The hypothesis properties pin the ANN backends' sharp guarantees:
 from __future__ import annotations
 
 import importlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -277,6 +279,43 @@ class TestIVFSpecifics:
         backend.remove(np.arange(5))
         backend.compact()
         assert backend._centroid_cache is None  # compaction rewrites the prefix
+
+    @pytest.mark.parametrize("backend_name", ["ivf", "ivfpq"])
+    def test_shared_backend_trains_its_structure_once(self, backend_name, monkeypatch):
+        """The serving runtime's workers share one replica: concurrent first
+        queries must train the lazy structure once and agree bitwise."""
+        params = dict(pq_m=2, pq_bits=3, rerank=12) if backend_name == "ivfpq" else {}
+        backend = create_backend(backend_name, nlist=6, nprobe=2, seed=0, **params)
+        backend.add(random_corpus(23, 200, 8))
+        queries = random_corpus(24, 5, 8)
+        rebuild = backend._rebuild_structure
+        guard, second_caller = threading.Lock(), threading.Event()
+        rebuilds = []
+
+        def gated_rebuild():
+            with guard:
+                rebuilds.append(threading.get_ident())
+                first = len(rebuilds) == 1
+            if first:
+                second_caller.wait(timeout=0.5)  # room for a second trainer to enter
+            else:
+                second_caller.set()
+            return rebuild()
+
+        monkeypatch.setattr(backend, "_rebuild_structure", gated_rebuild)
+        workers = 4
+        start = threading.Barrier(workers)
+
+        def first_query(_):
+            start.wait(timeout=30)
+            return backend.top_k(queries, 5)
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(first_query, range(workers)))
+        assert len(rebuilds) == 1
+        for result in results[1:]:
+            np.testing.assert_array_equal(result.indices, results[0].indices)
+            assert result.distances.tobytes() == results[0].distances.tobytes()
 
     def test_probing_expands_until_k_alive_candidates(self):
         """nprobe=1 with k near the corpus size must still fill k columns."""

@@ -43,6 +43,7 @@ from repro.server import (
 )
 from repro.streaming.reader import TrajectoryStreamReader
 from serving_runtime_kit import (
+    BatchGate,
     FaultInjector,
     FlakyEncoder,
     HookRecorder,
@@ -283,55 +284,43 @@ class TestGenerationConsistency:
         rows = [p["rows"] for p in hooks.of("publish")]
         assert rows[-1] == 10 and rows == sorted(rows)
 
-    def test_publishes_prune_replica_generations_except_pinned(self, tmp_path, monkeypatch):
-        """Stale generation directories are deleted on publish — except one a
-        worker is still restoring from, which survives until it is done."""
-        original_restore = Engine.restore
-        entered, release = threading.Event(), threading.Event()
-
-        def gated_restore(directory, *args, **kwargs):
-            if Path(directory).name == "gen_000001":
-                entered.set()
-                assert release.wait(timeout=30)
-            return original_restore(directory, *args, **kwargs)
-
-        monkeypatch.setattr(Engine, "restore", gated_restore)
+    def test_held_batch_keeps_its_generation_while_publishes_land(self, tmp_path):
+        """A batch answers on the generation it read at its boundary however
+        many publishes land meanwhile, and no publish leaves its staging
+        snapshot behind: the published replica holds its rows in memory."""
+        gate = BatchGate()
         engine = make_engine()
         seed_engine(engine, 12)
         replica_root = tmp_path / "replicas"
         runtime = ServingRuntime(
             engine,
             ServerConfig(max_batch=1, num_workers=2, publish_every_groups=1),
+            hooks=gate,
             clock=VirtualClock(),
             replica_dir=replica_root,
         )
-
-        def generations() -> list[str]:
-            return sorted(path.name for path in replica_root.iterdir())
-
         request = QueryRequest(queries=probe_queries(2), k=3)
         expected = engine.query(request)  # the primary as generation 1 sees it
         with runtime:
             held = runtime.submit(request)  # size trigger: released inline
             try:
-                assert entered.wait(timeout=30)  # a worker is inside Engine.restore
+                assert gate.holding.wait(timeout=30)  # a worker holds generation 1
                 for wave in range(10):
                     runtime.ingest([make_trajectory(2000 + wave)])  # one publish each
-                    assert len(generations()) <= runtime.config.num_workers + 1
-                assert generations() == ["gen_000001", "gen_000011"]
+                    assert list(replica_root.iterdir()) == []
             finally:
-                release.set()
+                gate.release()
             assert_responses_identical(held.result(timeout=30), expected)
-            runtime.ingest([make_trajectory(3000)])
-            assert generations() == ["gen_000012"]  # the unpinned one went too
             fresh = runtime.query(request, timeout=30)
-        assert_responses_identical(fresh, engine.query(request))
-        assert generations() == ["gen_000012"]
+        latest = engine.query(request)
+        assert not np.array_equal(latest.ids, expected.ids)  # the waves moved the answer
+        assert_responses_identical(fresh, latest)
+        assert [start["generation"] for start in gate.of("batch_start")] == [1, 11]
 
-    def test_pruning_races_with_replica_restores(self, tmp_path):
-        """Stress: more workers than cores restore replicas while every
-        ingest publishes and prunes; no restore may lose its directory and
-        every pin must be released (a leaked pin keeps a directory alive)."""
+    def test_publishes_race_with_queries_and_leave_no_staging(self, tmp_path):
+        """Stress: more workers than cores serve queries while every ingest
+        publishes a new replica; every future resolves and every publish
+        removes its staging snapshot before ``ingest`` returns."""
         engine = make_engine()
         seed_engine(engine, 12)
         replica_root = tmp_path / "replicas"
@@ -352,25 +341,26 @@ class TestGenerationConsistency:
                         for s in range(workers)
                     ]
                     runtime.ingest([make_trajectory(4000 + wave)])
-                    assert len(list(replica_root.iterdir())) <= workers + 1
+                    assert list(replica_root.iterdir()) == []
                 for future in futures:
-                    future.result(timeout=60)  # raises if a restore lost its files
-                runtime.ingest([make_trajectory(5000)])
-                assert [path.name for path in replica_root.iterdir()] == ["gen_000032"]
+                    future.result(timeout=60)
         finally:
             sys.setswitchinterval(interval)
 
-    def test_replica_restores_never_overlap(self, monkeypatch):
-        """Workers restore replicas one at a time, process-wide: a restore
-        is GIL-bound, and concurrent ``np.load`` header parses can fail."""
+    def test_one_restore_per_publish_on_the_publishing_thread(self, monkeypatch):
+        """Each publish restores its replica once, on the thread that
+        publishes it, never on a query worker; restores never overlap (a
+        restore is GIL-bound, and concurrent ``np.load`` header parses can
+        fail)."""
         original_restore = Engine.restore
         guard = threading.Lock()
-        active, concurrency = [0], []
+        active, concurrency, restore_threads = [0], [], []
 
         def tracked_restore(*args, **kwargs):
             with guard:
                 active[0] += 1
                 concurrency.append(active[0])
+                restore_threads.append(threading.get_ident())
             try:
                 time.sleep(0.005)  # widen the window a second restore could enter
                 return original_restore(*args, **kwargs)
@@ -378,12 +368,18 @@ class TestGenerationConsistency:
                 with guard:
                     active[0] -= 1
 
+        class PublishThreads(HookRecorder):
+            def on_publish(self, generation, rows) -> None:
+                super().on_publish(generation, rows)
+                self._record("publish_thread", ident=threading.get_ident())
+
         monkeypatch.setattr(Engine, "restore", tracked_restore)
+        hooks = PublishThreads()
         engine = make_engine()
         seed_engine(engine, 12)
         workers = 4
         config = ServerConfig(max_batch=1, num_workers=workers, publish_every_groups=1)
-        with ServingRuntime(engine, config) as runtime:
+        with ServingRuntime(engine, config, hooks=hooks) as runtime:
             for wave in range(5):
                 requests = [
                     QueryRequest(queries=probe_queries(1, seed=s), k=3) for s in range(2 * workers)
@@ -393,7 +389,9 @@ class TestGenerationConsistency:
                 for future, reference in zip(futures, expected):
                     assert_responses_identical(future.result(timeout=60), reference)
                 runtime.ingest([make_trajectory(6000 + wave)])  # the next generation
-        assert len(concurrency) >= workers  # every worker restored at least once
+        assert len(restore_threads) == runtime.stats()["publishes"] == 6
+        publish_threads = [event["ident"] for event in hooks.of("publish_thread")]
+        assert restore_threads == publish_threads
         assert max(concurrency) == 1
 
 
