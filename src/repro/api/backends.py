@@ -22,12 +22,15 @@ they scan.
     unbounded in the database size.
 ``"chunked"``
     One never-sealing segment scanned by the monolithic chunked kernel:
-    bounded memory (one ``query_chunk × database_chunk`` block at a time)
-    and ``argpartition`` partial selection.  Ignores ``shard_capacity``.
+    bounded memory (one ``query_chunk × database_chunk`` block at a time),
+    one ``argpartition`` on the first chunk, then each later chunk compared
+    against each query's running k-th distance so only the rows at or below
+    it are merged.  Ignores ``shard_capacity``.
 ``"sharded"``
     :class:`~repro.streaming.shards.ShardedIndex` itself: segments seal at
-    ``shard_capacity``, queries fan out per segment and k-way merge.  The
-    exact production serving path.
+    ``shard_capacity``, and a query block's one running top-k is carried
+    through the segments in order by the same chunked kernel.  The exact
+    production serving path.
 ``"ivf"``
     :class:`~repro.ann.ivf.IVFBackend`: k-means inverted lists, per-query
     ``nprobe`` probing with exact re-ranking of every probed candidate.
@@ -49,7 +52,15 @@ Bit-identity: ``"chunked"`` and ``"sharded"`` run the same chunked GEMM
 kernel, so whenever ``shard_capacity`` is a multiple of
 ``database_chunk_size`` (the defaults: 8192 and 4096) they return
 bit-identical ids *and* distances over the same rows — verified by a
-hypothesis property in ``tests/test_api.py``.
+hypothesis property in ``tests/test_api.py``.  Because ``"sharded"``
+carries one running top-k through its segments, it then issues the same
+chunk sequence as ``"chunked"`` and as the monolithic
+:class:`~repro.serving.index.SimilarityIndex`, so the ids agree exactly
+even where exact-equal distances straddle the k boundary
+(``TestShardedIndexBitIdentity`` in ``tests/test_streaming.py`` pins this on
+an integer-valued corpus).  The conformance kit still accepts either member
+of a boundary tie, as misaligned geometry and other backends may keep
+either.
 
 Registry contract (for third-party backends)
 --------------------------------------------
@@ -206,7 +217,7 @@ class ChunkedBackend(ShardedIndex):
 
     The bounded-memory scan of
     :class:`~repro.serving.index.SimilarityIndex` — one
-    ``query_chunk x database_chunk`` GEMM block at a time, ``argpartition``
+    ``query_chunk x database_chunk`` GEMM block at a time, running-threshold
     selection — with the store's mutation surface.  ``shard_capacity`` is
     ignored.
     """

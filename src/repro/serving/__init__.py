@@ -4,8 +4,10 @@ Turns a frozen encoder into a query-able similarity-search service:
 :class:`~repro.serving.store.EmbeddingStore` materialises representations
 once (length-bucketed batching, npz persistence) and
 :mod:`repro.serving.index` holds the scan kernels every index backend runs —
-chunked float32 distance computation with partial (``argpartition``)
-selection, exact counting ranks, and the full-matrix reference top-k.
+chunked float32 distance computation with running-threshold partial
+selection (one ``argpartition`` on a query block's first chunk, then only
+the rows at or below each query's running k-th distance are merged), exact
+counting ranks, and the full-matrix reference top-k.
 :class:`~repro.serving.index.SimilarityIndex` wraps the chunked kernel over
 one frozen matrix; it is the monolithic reference the bit-identity tests
 compare the backends against.

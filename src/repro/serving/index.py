@@ -14,9 +14,11 @@ per query batch and ``O(D log D)`` per query just to find five neighbours.
 * **float32 arithmetic** — representations are float32 to begin with
   (``STARTModel.encode`` returns float32), so the float64 up-cast of the old
   path only doubled bandwidth without adding information;
-* **partial selection** — ``np.argpartition`` (``O(D)``) keeps a running
-  top-k between chunks and only the final ``k`` candidates per query are
-  sorted.
+* **partial selection by a running threshold** — the first chunk is cut to
+  ``k`` candidates per query by one ``np.argpartition``; every later chunk
+  is compared once against each query's running k-th distance, and only the
+  rows at or below it are merged (a partial sort over ``k`` plus those
+  rows).  Only the final ``k`` candidates per query are sorted.
 
 Distances are Euclidean; selection is done on squared distances (the square
 root is monotone) and only the returned ``k`` values per query are rooted.
@@ -86,12 +88,18 @@ def pairwise_squared_euclidean(
 
     Uses the ``|q|^2 + |d|^2 - 2 q.d`` expansion so the heavy lifting is a
     single float32 GEMM; negative values from cancellation are clipped to 0.
+    The result is assembled in place as ``(|q|^2 + |d|^2) - 2·G`` — two
+    ``(Q, D)`` temporaries, the GEMM output ``G`` and the result — in the
+    operation order of the one-expression form, so it is bitwise the same.
     """
     if query_norms is None:
         query_norms = squared_norms(queries)
     if database_norms is None:
         database_norms = squared_norms(database)
-    squared = query_norms[:, None] + database_norms[None, :] - 2.0 * (queries @ database.T)
+    gram = queries @ database.T
+    gram *= 2.0
+    squared = np.add(query_norms[:, None], database_norms[None, :])
+    squared -= gram
     np.maximum(squared, 0.0, out=squared)
     return squared
 
@@ -103,7 +111,7 @@ def merge_topk_candidates(
     chunk_i: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge one candidate block into the running per-query top-k.
+    """Merge one whole candidate block into the running per-query top-k.
 
     ``best_d``/``best_i`` are the current ``(Q, <=k)`` candidate squared
     distances and row ids (``None`` before the first block).  The merged
@@ -124,6 +132,68 @@ def merge_topk_candidates(
     return cand_d.copy(), cand_i.copy()
 
 
+def _merge_at_or_below_kth(
+    best_d: np.ndarray,
+    best_i: np.ndarray,
+    chunk_d: np.ndarray,
+    chunk_ids: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge one chunk into ``(Q, k)`` running candidates by a running threshold.
+
+    Each query's chunk rows are compared once against its current k-th
+    distance (its largest candidate); only the rows at or below it can
+    enter the top-k, and only they are merged (:func:`_merge_hits`).
+
+    The whole chunk is merged with :func:`merge_topk_candidates` instead
+    while some query's candidates hold ``+inf`` (a tombstone) or NaN (an
+    overflowed row) — it has no finite bound, so NaN counts as ``+inf`` and
+    never hides a finite row behind an always-false comparison — and when
+    more than an eighth of the chunk is at or below the bounds (rows that
+    arrive nearest-last), where laying the hits out costs more.
+    """
+    kth = best_d.max(axis=1)
+    if kth.max() < np.inf:
+        hits = np.flatnonzero(chunk_d <= kth[:, None])
+        if not hits.size:
+            return best_d, best_i
+        if 8 * hits.size <= chunk_d.size:
+            return _merge_hits(best_d, best_i, chunk_d, chunk_ids, hits, k)
+    chunk_i = np.broadcast_to(chunk_ids, chunk_d.shape)
+    return merge_topk_candidates(best_d, best_i, chunk_d, chunk_i, k)
+
+
+def _merge_hits(
+    best_d: np.ndarray,
+    best_i: np.ndarray,
+    chunk_d: np.ndarray,
+    chunk_ids: np.ndarray,
+    hits: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the chunk entries at flat positions ``hits`` into ``(Q, k)`` candidates.
+
+    The hits are laid out after each query's ``k`` candidates, ``+inf``-padded
+    to the query with the most, and one ``argpartition`` over ``k + hits``
+    columns replaces one over ``k + chunk`` columns.  A pad is never kept:
+    every query holds ``k`` real candidates at or below a finite bound.
+    """
+    # Hits are row-major, so each query's run is contiguous and starts at
+    # the first hit of the same query.
+    hit_query, hit_column = np.divmod(hits, chunk_d.shape[1])
+    slot = np.arange(k, k + hits.size) - np.searchsorted(hit_query, hit_query)
+    shape = (chunk_d.shape[0], int(slot.max()) + 1)
+    cand_d = np.full(shape, np.inf, dtype=chunk_d.dtype)
+    cand_i = np.empty(shape, dtype=np.int64)  # pads are never kept
+    cand_d[:, :k] = best_d
+    cand_i[:, :k] = best_i
+    cand_d[hit_query, slot] = chunk_d.take(hits)
+    cand_i[hit_query, slot] = chunk_ids.take(hit_column)
+    keep = np.argpartition(cand_d, k - 1, axis=1)[:, :k]
+    rows = np.arange(shape[0])[:, None]
+    return cand_d[rows, keep], cand_i[rows, keep]
+
+
 def scan_topk_candidates(
     queries: np.ndarray,
     query_norms: np.ndarray,
@@ -139,15 +209,23 @@ def scan_topk_candidates(
 
     This is the chunked kernel shared by the monolithic
     :class:`SimilarityIndex` and the streaming layer's shards: distances are
-    computed one ``chunk_size`` block at a time and merged with
-    :func:`merge_topk_candidates`, so both callers do bit-identical float32
-    arithmetic per database row.
+    computed one ``chunk_size`` block at a time, so both callers do
+    bit-identical float32 arithmetic per database row.  The first chunk is
+    reduced to ``k`` candidates by one ``argpartition``
+    (:func:`merge_topk_candidates`); every later chunk is compared once
+    against each query's running k-th distance and only the rows at or below
+    it are merged.  While fewer than ``k`` candidates are held (``k`` larger
+    than a chunk) whole chunks are merged.
 
     ``row_ids`` maps local database rows to the ids reported in results
     (defaults to ``0..N-1``); ``exclude`` is an optional boolean mask of rows
     to skip (tombstones) — their distances are forced to ``+inf`` so they can
     never survive a merge while live candidates remain.  ``best`` seeds the
-    running candidates, allowing one scan to continue another.
+    running candidates (and is not modified), so one scan continues another:
+    :class:`~repro.streaming.shards.ShardedIndex` threads one running top-k
+    through its segments this way, and when every segment but the last is a
+    whole number of chunks it issues exactly the chunk sequence — and makes
+    exactly the selections — of one scan over all its rows.
     """
     best_d, best_i = best
     count = database.shape[0]
@@ -167,8 +245,11 @@ def scan_topk_candidates(
             ids = np.arange(start, stop, dtype=np.int64)
         else:
             ids = row_ids[start:stop]
-        chunk_i = np.broadcast_to(ids, chunk_d.shape)
-        best_d, best_i = merge_topk_candidates(best_d, best_i, chunk_d, chunk_i, k)
+        if best_d is None or best_d.shape[1] < k:
+            chunk_i = np.broadcast_to(ids, chunk_d.shape)
+            best_d, best_i = merge_topk_candidates(best_d, best_i, chunk_d, chunk_i, k)
+        else:
+            best_d, best_i = _merge_at_or_below_kth(best_d, best_i, chunk_d, ids, k)
     return best_d, best_i
 
 
@@ -286,8 +367,8 @@ class SimilarityIndex:
 
     The index owns a float32 copy of the database plus its precomputed row
     norms.  Queries stream through in chunks and a running per-query top-k is
-    merged with ``np.argpartition`` after every database chunk, so neither the
-    full distance matrix nor a full sort ever materialises.
+    carried across database chunks (:func:`scan_topk_candidates`), so neither
+    the full distance matrix nor a full sort ever materialises.
     """
 
     def __init__(

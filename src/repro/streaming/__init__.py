@@ -8,8 +8,8 @@ a continuously-growing corpus:
 * :class:`~repro.streaming.shards.ShardedIndex` is the one row store of
   every index backend: append-only :class:`IndexShard` segments of vectors,
   cached norms, ids and tombstones behind one id → position map —
-  add/remove/compact mutations, fan-out + ``(distance, id)`` k-way merge
-  queries, bit-identical to the monolithic
+  add/remove/compact mutations, queries that carry one running top-k
+  through the segments in order, bit-identical to the monolithic
   :class:`~repro.serving.index.SimilarityIndex` on the same rows
   (``shards``).
 

@@ -18,25 +18,26 @@ squared norms, global ids and a tombstone mask — in append-only
   surviving ids;
 * **compaction** rewrites the segment list without tombstoned rows,
   reclaiming their memory once enough garbage accumulates;
-* **queries** fan out: each segment runs the *same* chunked
-  ``argpartition`` kernel as the monolithic index
-  (:func:`repro.serving.index.scan_topk_candidates`) over its own rows,
-  and the per-segment top-k candidate lists are k-way merged by
-  ``(distance, id)``.
+* **queries** carry one running top-k through the segments in order: each
+  segment continues the *same* chunked kernel as the monolithic index
+  (:func:`repro.serving.index.scan_topk_candidates`) from the candidates the
+  segments before it left, comparing every chunk against each query's
+  running k-th distance.  One ``(distance, id)`` sort of the final ``k``
+  candidates ends the query.
 
 **Bit-identity.**  When ``shard_capacity`` is a multiple of
 ``database_chunk_size`` (true for the defaults, 8192 and 4096), shard
-boundaries land on the monolithic index's chunk grid: every GEMM the sharded
-scan issues sees a bitwise-identical input block to one the monolithic scan
-issues, so the merged ids *and* distances are **bit-identical** to
-:meth:`SimilarityIndex.topk` over the same rows in the same order — sharding
-changes layout, not answers.  Misaligned capacities change GEMM block
-shapes, and BLAS reduction order is not shape-invariant, so distances may
-then drift by one float32 ulp (the top-k is still exact for the arithmetic
-performed; ids still agree on data without near-ulp ties).  The remaining
-universal caveat: when exact-equal distances straddle the k boundary either
-tie member is a correct answer and two layouts may keep different ones —
-real float32 representations essentially never tie.
+boundaries land on the monolithic index's chunk grid: the sharded scan
+issues the monolithic scan's chunk sequence — every GEMM sees a
+bitwise-identical input block and every selection the same candidates — so
+its ids *and* distances are **bit-identical** to
+:meth:`SimilarityIndex.topk` over the same rows in the same order, even
+where exact-equal distances straddle the k boundary — sharding changes
+layout, not answers.  Misaligned capacities change GEMM block shapes, and
+BLAS reduction order is not shape-invariant, so distances may then drift by
+one float32 ulp (the top-k is still exact for the arithmetic performed; ids
+still agree on data without near-ulp ties), and a boundary tie may keep a
+different, equally correct, member.
 
 Row ids are global and stable: by default they number rows in insertion
 order, so a ``ShardedIndex`` filled in database order reports the same ids a
@@ -57,7 +58,6 @@ from repro.serving.index import (
     as_float32_matrix,
     check_new_ids,
     finalize_topk,
-    merge_topk_candidates,
     scan_count_before,
     scan_topk_candidates,
     squared_norms,
@@ -182,7 +182,7 @@ class IndexShard:
         self._dead_count += 1
 
     # ------------------------------------------------------------------ #
-    # Queries (the PR 1 chunked kernel over this segment)
+    # Queries (the chunked kernels over this segment)
     # ------------------------------------------------------------------ #
     def scan_topk(
         self,
@@ -191,7 +191,7 @@ class IndexShard:
         k: int,
         best: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Merge this shard's rows into a running top-k candidate set."""
+        """Continue the running top-k candidates ``best`` over this shard's rows."""
         if self._count == 0:
             return best
         return scan_topk_candidates(
@@ -234,8 +234,8 @@ class ShardedIndex:
 
     Registered as the ``"sharded"`` backend and the base class of every
     other built-in one.  Supports ``add`` / ``remove`` / ``compact``
-    mutations, ``top_k`` / ``ranks_of`` queries with fan-out across shards
-    and a k-way merge of per-shard candidates by ``(distance, id)``, and
+    mutations, ``top_k`` queries that carry one running top-k through the
+    shards in order, ``ranks_of`` counts summed over shards, and
     ``segments()`` for snapshots.
 
     ``generation`` increments on every mutation; caches keyed on it (the
@@ -466,13 +466,16 @@ class ShardedIndex:
     # Queries
     # ------------------------------------------------------------------ #
     def top_k(self, queries: np.ndarray, k: int) -> SearchResult:
-        """The ``k`` nearest alive rows for each query, merged across shards.
+        """The ``k`` nearest alive rows for each query, over every shard.
 
+        Each query block's running top-k is carried through the shards in
+        order — each continues the chunked scan where the previous one
+        stopped — and sorted once at the end by ``(distance, id)``.
         Semantics match :meth:`SimilarityIndex.topk` exactly — on the same
         rows in the same insertion order the returned ids and distances are
-        bit-identical whenever ``shard_capacity`` is a multiple of
-        ``database_chunk_size`` (see the module docstring).  ``k`` is
-        clamped to the alive row count.
+        bit-identical, boundary ties included, whenever ``shard_capacity``
+        is a multiple of ``database_chunk_size`` (see the module
+        docstring).  ``k`` is clamped to the alive row count.
         """
         queries, k = self._check_top_k(queries, k)
         num_queries = queries.shape[0]
@@ -484,22 +487,14 @@ class ShardedIndex:
         for row in range(0, num_queries, self.query_chunk_size):
             block = queries[row : row + self.query_chunk_size]
             block_norms = squared_norms(block)
-            # Fan-out: each shard reduces its segment to <= k candidates with
-            # the shared chunked kernel ...
-            per_shard = [
-                shard.scan_topk(block, block_norms, k)
-                for shard in self._shards
-                if len(shard)
-            ]
-            # ... then the k-way merge selects the global k by (distance, id).
-            best_d: np.ndarray | None = None
-            best_i: np.ndarray | None = None
-            for shard_d, shard_i in per_shard:
-                best_d, best_i = merge_topk_candidates(best_d, best_i, shard_d, shard_i, k)
-            block_indices, block_distances = finalize_topk(best_d, best_i)
+            # One running top-k, carried through the segments in order.
+            best: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
+            for shard in self._shards:
+                best = shard.scan_topk(block, block_norms, k, best)
+            block_indices, block_distances = finalize_topk(*best)
             block_slice = slice(row, row + block.shape[0])
-            indices[block_slice] = block_indices[:, :k]
-            distances[block_slice] = block_distances[:, :k]
+            indices[block_slice] = block_indices
+            distances[block_slice] = block_distances
         return SearchResult(indices=indices, distances=distances)
 
     def ranks_of(self, queries: np.ndarray, truth_ids: np.ndarray) -> np.ndarray:

@@ -149,6 +149,25 @@ class TestShardedIndexBitIdentity:
             result.distances.view(np.uint32) == mono.distances.view(np.uint32)
         ).all()
 
+    @pytest.mark.parametrize("k", [1, 10, 40])
+    @pytest.mark.parametrize("capacity", [16, 64, 256])
+    def test_topk_ids_identical_with_ties_straddling_k(self, rng, k, capacity):
+        """Integer-valued rows make exact distance ties straddle k.  The one
+        running top-k carried through the shards issues the monolithic
+        index's chunk sequence, so even the boundary tie member agrees."""
+        database = rng.integers(0, 4, size=(2000, 8)).astype(np.float32)
+        queries = rng.integers(0, 4, size=(60, 8)).astype(np.float32)
+        mono = SimilarityIndex(database, database_chunk_size=self.CHUNK).topk(queries, k)
+        sharded = ShardedIndex.from_vectors(
+            database, shard_capacity=capacity, database_chunk_size=self.CHUNK
+        )
+        result = sharded.top_k(queries, k)
+        exact = ((queries[:, None, :] - database[None, :, :]) ** 2).sum(axis=2)
+        kth = np.sort(exact, axis=1)[:, k - 1 : k]
+        assert ((exact <= kth).sum(axis=1) > k).mean() > 0.5  # ties straddle k
+        np.testing.assert_array_equal(result.indices, mono.indices)
+        assert result.distances.tobytes() == mono.distances.tobytes()
+
     def test_ranks_of_matches_monolithic(self, rng):
         database = rng.standard_normal((200, 12)).astype(np.float32)
         queries = rng.standard_normal((30, 12)).astype(np.float32)
