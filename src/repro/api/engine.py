@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
@@ -652,104 +651,116 @@ class Engine:
             format_version=SNAPSHOT_FORMAT_VERSION,
         )
 
-    def replicate(self, directory: str | Path | None = None) -> "Engine":
-        """A bit-stable read replica of this engine (snapshot + restore).
+    def replicate(self) -> "Engine":
+        """A bit-stable read replica of this engine: :meth:`restore` from it, in memory.
 
-        Snapshots the index under ``directory`` (a temporary directory,
-        removed before returning, when ``None``) and restores it into a
-        fresh engine that holds its rows in memory.  The replica answers
-        vector queries **bit-identically** to this engine at the moment of
-        the call and shares no index state with it afterwards — this is how
-        the serving runtime publishes each generation, the one read-only
-        index all of its query workers answer from.  The replica shares this
-        engine's encoder object; replicas queried with pre-encoded vectors
-        never touch it (callers that encode on replicas concurrently must
-        serialise those encodes themselves — the model is not thread-safe).
+        The replica keeps this engine's :class:`EngineConfig`, answers vector
+        queries **bit-identically** to this engine at the moment of the call
+        and shares no index state with it afterwards; no file is read or
+        written.  This engine must not be mutated during the call — the
+        serving runtime publishes each generation this way on its ingest
+        thread, the primary's only writer.  The replica shares this engine's
+        encoder object; replicas queried with pre-encoded vectors never touch
+        it (callers that encode on replicas concurrently must serialise those
+        encodes themselves — the model is not thread-safe).
         """
-        if directory is None:
-            with tempfile.TemporaryDirectory(prefix="repro-engine-replica-") as staging:
-                return self.replicate(staging)
-        self.snapshot(directory)
         # Replicas report into this engine's registry: their counters are
         # this engine's traffic, just answered from another copy.
         metrics = self._metrics if self._metrics.enabled else None
-        return Engine.restore(directory, self.model, metrics=metrics, clock=self._clock)
+        return Engine.restore(self, self.model, metrics=metrics, clock=self._clock)
 
     @classmethod
     def restore(
         cls,
-        directory: str | Path,
+        source: "str | Path | Engine",
         encoder,
         config: EngineConfig | None = None,
         *,
         metrics: "MetricsRegistry | None" = None,
         clock: Clock | None = None,
     ) -> "Engine":
-        """Rebuild an engine's index from a :meth:`snapshot` directory.
+        """Rebuild an engine's index from a :meth:`snapshot` directory or a live engine.
 
-        Segments are re-added in snapshot order (tombstoned rows included,
-        then re-removed), which reproduces the original backend layout row
-        for row — queries against the restored engine are bit-identical to
-        the original.  The manifest's backend and geometry win unless an
-        explicit ``config`` is given.
+        Both sources feed one replay: segments are re-added in order with
+        their ids (tombstoned rows included, then re-removed in sorted
+        order), then ``next_id`` is carried over.  That reproduces the
+        original backend layout row for row, so queries against the restored
+        engine are bit-identical to the original.  A live ``source`` is read
+        through its backend's ``segments()`` only and must not be mutated
+        during the call; no file is touched, ``config`` defaults to
+        ``source.config`` and the trajectory-id map is copied.  A directory's
+        manifest backend and geometry win unless ``config`` is given.
 
         Snapshots of the retired pre-facade ``IngestService`` restore too:
         their manifest lists ``shards`` instead of ``segments`` and names no
         backend, and each shard file already is a sharded-backend segment.
         Their manifest's user ``metadata`` block is not carried over.
         """
-        directory = Path(directory)
-        manifest_path = directory / _MANIFEST_NAME
-        if not manifest_path.exists():
-            raise ValueError(f"{directory} is not an Engine snapshot (no {_MANIFEST_NAME})")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        version = int(manifest.get("format_version", 0))
-        if version > SNAPSHOT_FORMAT_VERSION:
-            raise ValueError(
-                f"{directory} uses snapshot format v{version}; "
-                f"this build reads up to v{SNAPSHOT_FORMAT_VERSION}"
-            )
-        segment_files = manifest.get("segments", manifest.get("shards"))
-        if segment_files is None:
-            raise ValueError(f"{directory} is not an Engine snapshot (no segments listed)")
-        if config is None:
-            config = EngineConfig(
-                backend=manifest.get("backend", "sharded"),
-                shard_capacity=int(manifest["shard_capacity"]),
-                query_chunk_size=int(manifest["query_chunk_size"]),
-                database_chunk_size=int(manifest["database_chunk_size"]),
-                backend_params=manifest.get("backend_params") or None,
-            )
+        if isinstance(source, Engine):
+            config = config or source.config
+            segments = source._backend.segments()
+            trajectory_ids = dict(source._trajectory_ids)
+            next_id = source._backend.next_id
+        else:
+            directory = Path(source)
+            manifest_path = directory / _MANIFEST_NAME
+            if not manifest_path.exists():
+                raise ValueError(f"{directory} is not an Engine snapshot (no {_MANIFEST_NAME})")
+            with open(manifest_path) as handle:
+                manifest = json.load(handle)
+            version = int(manifest.get("format_version", 0))
+            if version > SNAPSHOT_FORMAT_VERSION:
+                raise ValueError(
+                    f"{directory} uses snapshot format v{version}; "
+                    f"this build reads up to v{SNAPSHOT_FORMAT_VERSION}"
+                )
+            segment_files = manifest.get("segments", manifest.get("shards"))
+            if segment_files is None:
+                raise ValueError(f"{directory} is not an Engine snapshot (no segments listed)")
+            if config is None:
+                config = EngineConfig(
+                    backend=manifest.get("backend", "sharded"),
+                    shard_capacity=int(manifest["shard_capacity"]),
+                    query_chunk_size=int(manifest["query_chunk_size"]),
+                    database_chunk_size=int(manifest["database_chunk_size"]),
+                    backend_params=manifest.get("backend_params") or None,
+                )
+            trajectory_ids = {}
+            segments = _snapshot_segments(directory, segment_files, trajectory_ids)
+            next_id = manifest.get("next_id")
         engine = cls(encoder, config, metrics=metrics, clock=clock)
         # Backends with tombstone support replay the exact original layout
         # (add everything, then re-remove — bit-identical to the source);
         # append-only backends get the dead rows filtered out up front, so a
-        # cross-backend restore of a tombstoned snapshot still works.
+        # cross-backend restore of a tombstoned source still works.
         replay_tombstones = engine._backend.supports_removal
         deleted: list[int] = []
-        for name in segment_files:
-            store = EmbeddingStore.load(directory / name)
-            # Sorted, so the tombstone replay order (and thus the restored
-            # layout) never depends on the snapshot's id order.
-            dead_ids = sorted(int(i) for i in store.metadata.get("deleted_ids", []))
-            alive = ~np.isin(store.ids, dead_ids)
-            vectors, ids = store.vectors, store.ids
-            if dead_ids and not replay_tombstones:
-                vectors, ids = vectors[alive], ids[alive]
-            engine._backend.add(vectors, ids=ids)
+        for vectors, ids, dead in segments:
             if replay_tombstones:
-                deleted.extend(dead_ids)
-            # trajectory_ids() defaults to the row id, so only alive rows
-            # whose trajectory id differs need an entry.
-            trajectory_ids = np.asarray(
-                store.metadata.get("trajectory_ids", store.ids), dtype=np.int64
-            )
-            mapped = alive & (trajectory_ids != store.ids)
-            engine._trajectory_ids.update(
-                zip(store.ids[mapped].tolist(), trajectory_ids[mapped].tolist())
-            )
+                # Sorted, so the tombstone replay order (and thus the restored
+                # layout) never depends on the source's id order.
+                deleted.extend(sorted(ids[dead].tolist()))
+            elif dead.any():
+                vectors, ids = vectors[~dead], ids[~dead]
+            engine._backend.add(vectors, ids=ids)
+        engine._trajectory_ids = trajectory_ids
         if deleted:
             engine.remove(deleted)
-        engine._backend.next_id = int(manifest.get("next_id", engine._backend.next_id))
+        if next_id is not None:
+            engine._backend.next_id = int(next_id)
         return engine
+
+
+def _snapshot_segments(directory: Path, names: list[str], trajectory_ids: dict[int, int]):
+    """A snapshot's segments as ``(vectors, ids, dead)``, loaded one at a time.
+
+    Fills ``trajectory_ids`` for the alive rows whose trajectory id is not
+    their row id (the default of :meth:`Engine.trajectory_ids`).
+    """
+    for name in names:
+        store = EmbeddingStore.load(directory / name)
+        dead = np.isin(store.ids, store.metadata.get("deleted_ids", []))
+        mapped = np.asarray(store.metadata.get("trajectory_ids", store.ids), dtype=np.int64)
+        keep = ~dead & (mapped != store.ids)
+        trajectory_ids.update(zip(store.ids[keep].tolist(), mapped[keep].tolist()))
+        yield store.vectors, store.ids, dead

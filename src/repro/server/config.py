@@ -38,8 +38,8 @@ class ServerConfig:
     Ingest path — stream records are ingested in deterministic groups of
     exactly ``ingest_group_size`` records (the unit of crash-restart
     replay); after every ``publish_every_groups`` ingested groups the
-    primary is replicated (snapshot + one restore) and the replica is
-    published to the workers as a new generation;
+    primary is replicated in memory (one restore, no files) and the replica
+    is published to the workers as a new generation;
     ``compact_min_tombstones > 0`` compacts the primary before each
     publish.  ``poll_interval`` is the background thread's stream polling
     cadence (clock seconds).

@@ -16,13 +16,14 @@ matching is what buys this).
 **Query workers over one shared replica** (``num_workers`` daemon
 threads).  Each *published generation* is one read-only replica engine,
 built once at publish time by :meth:`Engine.replicate
-<repro.api.Engine.replicate>` — an ``Engine.snapshot`` of the primary
-restored bit-identically by the facade's existing contract — and every
-worker answers from it.  A worker reads the published replica at each batch
-boundary and executes the whole batch against it, so concurrent ingestion
-can never tear a batch's view of the index.  Workers encode trajectory
-queries under a shared encode lock (the model is not thread-safe); the
-index scans release the GIL and run genuinely in parallel.
+<repro.api.Engine.replicate>` — an in-memory ``Engine.restore`` from the
+primary itself, bit-identical by the facade's restore contract, with no
+staging snapshot or file — and every worker answers from it.  A worker
+reads the published replica at each batch boundary and executes the whole
+batch against it, so concurrent ingestion can never tear a batch's view of
+the index.  Workers encode trajectory queries under a shared encode lock
+(the model is not thread-safe); the index scans release the GIL and run
+genuinely in parallel.
 
 **Ingest/compaction thread** (one daemon).  Direct waves
 (:meth:`submit_ingest`) and tailed JSONL records
@@ -51,12 +52,10 @@ sleeps anywhere.
 from __future__ import annotations
 
 import queue
-import shutil
 import threading
 from collections import deque
 from concurrent.futures import Future
 from pathlib import Path
-from tempfile import TemporaryDirectory
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -79,14 +78,6 @@ from repro.utils.clock import Clock, SystemClock
 
 #: Worker-queue sentinel: the receiving worker exits cleanly.
 _STOP = object()
-
-#: Serialises replica restores across every runtime in the process.  A
-#: restore is GIL-bound (two at once take as long as two in a row), and
-#: ``np.load`` parses each array header with ``ast.literal_eval``: on CPython
-#: 3.11 the AST constructor keeps its recursion counter in interpreter-wide
-#: state, so two threads parsing at once can fail a restore with
-#: ``SystemError: AST constructor recursion depth mismatch``.
-_RESTORE_LOCK = threading.Lock()
 
 
 class _QueryWorker(threading.Thread):
@@ -156,6 +147,8 @@ class ServingRuntime:
         replica_dir: str | Path | None = None,
         metrics: "MetricsRegistry | NullRegistry | None" = None,
     ) -> None:
+        """``replica_dir`` is ignored: publishes stage no files.  It is still
+        accepted so existing callers keep working."""
         self.primary = engine
         self.config = config or ServerConfig()
         self._hooks = hooks or ServerHooks()
@@ -177,11 +170,6 @@ class ServingRuntime:
         self._closed = False
         self._poisoned = False
         # Replica publication.
-        self._replica_tmp: TemporaryDirectory | None = None
-        if replica_dir is None:
-            self._replica_tmp = TemporaryDirectory(prefix="repro-server-replicas-")
-            replica_dir = self._replica_tmp.name
-        self._replica_root = Path(replica_dir)
         self._published: tuple[int, Engine] | None = None
         self._generation = 0
         # Ingestion.
@@ -340,9 +328,6 @@ class ServingRuntime:
                 self._drain_ingest_locked(force_partial=True)
                 if self._groups_since_publish or self._checkpointer is not None:
                     self._publish_locked(force_checkpoint=self._checkpointer is not None)
-        if self._replica_tmp is not None:
-            self._replica_tmp.cleanup()
-            self._replica_tmp = None
 
     @classmethod
     def restore(
@@ -606,28 +591,32 @@ class ServingRuntime:
     def submit_ingest(self, trajectories: Sequence[Trajectory]) -> int:
         """Queue one wave for the background ingest thread; returns its size."""
         wave = list(trajectories)
-        with self._state_lock:
-            if self._closed:
-                raise ServerClosed("the runtime is not accepting ingests")
-        if wave:
-            # The ingest thread pops this queue under _ingest_lock; a
-            # lock-free append here relies on deque atomicity instead of the
-            # class's lock discipline.
-            with self._ingest_lock:
+        with self._ingest_lock:
+            self._check_accepting_ingest_locked()
+            if wave:
                 self._ingest_queue.append(wave)
                 self._note_ingest_lag_locked()
+        if wave:
             self._ingest_wake.set()
         return len(wave)
 
     def ingest(self, trajectories: Iterable[Trajectory]) -> int:
         """Synchronous ingest of one wave into the primary (publishes if due)."""
         wave = list(trajectories)
-        if not wave:
-            return 0
         with self._ingest_lock:
-            self._ingest_wave_locked(wave)
-            self._maybe_publish_locked()
+            self._check_accepting_ingest_locked()
+            if wave:
+                self._ingest_wave_locked(wave)
+                self._maybe_publish_locked()
         return len(wave)
+
+    def _check_accepting_ingest_locked(self) -> None:
+        # Checked under _ingest_lock, in one section with the caller's append
+        # or ingest: shutdown's final drain takes that lock after closing, so
+        # it sees every wave accepted here.
+        with self._state_lock:
+            if self._closed:
+                raise ServerClosed("the runtime is not accepting ingests")
 
     def pump(self) -> dict[str, int | bool]:
         """Run one ingest cycle synchronously (the test-kit's deterministic lever).
@@ -749,17 +738,13 @@ class ServingRuntime:
         return True
 
     def _publish_locked(self, *, force_checkpoint: bool = False) -> None:
-        """Replicate the primary and atomically publish it as a new generation."""
+        """Replicate the primary in memory (no file is read or written) and
+        atomically publish it as a new generation; holding ``_ingest_lock``
+        keeps the primary unchanged while it is read."""
         if self.config.compact_min_tombstones > 0:
             self.primary.compact(min_tombstones=self.config.compact_min_tombstones)
         self._generation += 1
-        staging = self._replica_root / f"gen_{self._generation:06d}"
-        try:
-            with _RESTORE_LOCK:
-                replica = self.primary.replicate(staging)
-        finally:
-            # The replica holds its rows in memory: the snapshot only staged them.
-            shutil.rmtree(staging, ignore_errors=True)
+        replica = self.primary.replicate()
         # The replica reports into the runtime's registry: the serving path
         # (cache hits, backend scans) runs there, not on the primary.
         registry = self._metrics_registry

@@ -31,8 +31,9 @@ What the contract requires of everyone:
   allowed in ``top_k`` recall;
 * ``generation`` increases on every mutation (the engine's query cache keys
   on it), ``next_id`` only moves forward and survives snapshots;
-* snapshot → restore through the engine is **bit-stable**: the replica
-  answers queries bit-identically;
+* restore through the engine is **bit-stable**, from a snapshot directory
+  or from the live engine: the replica answers queries bit-identically and
+  shares no state with its source;
 * backends without removal support raise
   :class:`~repro.api.backends.UnsupportedOperation` from ``remove`` and
   return ``False`` from ``compact``.
@@ -112,6 +113,19 @@ def make_engine(backend_name: str, **config_overrides) -> Engine:
         _unused_encoder,
         EngineConfig(backend=backend_name, **SMALL_GEOMETRY, **config_overrides),
     )
+
+
+#: What ``Engine.restore`` rebuilds from: a snapshot directory or the live engine.
+RESTORE_SOURCES = ("snapshot", "live")
+
+
+def restore_from(engine: Engine, source: str, directory) -> Engine:
+    """``Engine.restore`` of ``engine``, via a snapshot under ``directory`` or live."""
+    if source == "live":
+        return Engine.restore(engine, _unused_encoder)
+    info = engine.snapshot(directory)
+    assert info.backend == engine.config.backend
+    return Engine.restore(info.path, _unused_encoder)
 
 
 def is_exact(backend) -> bool:
@@ -420,27 +434,38 @@ class IndexBackendConformanceSuite:
             assert not np.isin(np.arange(5), after_remove.ids).any()
 
     # ------------------------------------------------------------------ #
-    # Snapshot / restore bit-stability
+    # Restore bit-stability, from a snapshot or from the live engine
     # ------------------------------------------------------------------ #
-    def test_snapshot_restore_is_bit_stable(self, backend_name, corpus, queries, tmp_path):
+    @pytest.mark.parametrize("source", RESTORE_SOURCES)
+    def test_snapshot_restore_is_bit_stable(self, backend_name, source, corpus, queries, tmp_path):
         engine = make_engine(backend_name)
         engine.ingest_vectors(corpus[:40], trajectory_ids=range(5000, 5040))
         engine.ingest_vectors(corpus[40:], trajectory_ids=range(5040, 5060))
         if engine.backend.supports_removal:
             engine.remove(np.arange(7, 19))
-        info = engine.snapshot(tmp_path / "snap")
-        assert info.backend == backend_name
-        replica = Engine.restore(info.path, _unused_encoder)
+        replica = restore_from(engine, source, tmp_path / "snap")
         assert replica.backend.next_id == engine.backend.next_id
         original = engine.query(QueryRequest(queries=queries, k=10))
         restored = replica.query(QueryRequest(queries=queries, k=10))
         np.testing.assert_array_equal(original.ids, restored.ids)
         assert (original.distances == restored.distances).all()  # bitwise
         np.testing.assert_array_equal(original.trajectory_ids, restored.trajectory_ids)
-        # And the replica keeps being bit-stable through its own snapshot.
-        second = Engine.restore(
-            replica.snapshot(tmp_path / "snap2").path, _unused_encoder
-        )
+        # And the replica keeps being bit-stable through its own restore.
+        second = restore_from(replica, source, tmp_path / "snap2")
         again = second.query(QueryRequest(queries=queries, k=10))
         np.testing.assert_array_equal(original.ids, again.ids)
         assert (original.distances == again.distances).all()
+        # The replica shares no state with its source: growing the source,
+        # or removing rows from it, leaves the replica's answers unchanged
+        # (scanned through its backend, so its query cache cannot hide it).
+        rows = len(replica)
+        engine.ingest_vectors(queries)  # rows every query would now rank first
+        if engine.backend.supports_removal:
+            engine.remove(np.unique(restored.ids[:, :3]))
+        after = replica.backend.top_k(queries, 10)
+        assert len(replica) == rows
+        np.testing.assert_array_equal(after.indices, restored.ids)
+        assert (after.distances == restored.distances).all()
+        np.testing.assert_array_equal(
+            replica.trajectory_ids(after.indices), restored.trajectory_ids
+        )

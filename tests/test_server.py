@@ -41,6 +41,7 @@ from repro.server import (
     ServerConfig,
     ServingRuntime,
 )
+from repro.serving.store import EmbeddingStore
 from repro.streaming.reader import TrajectoryStreamReader
 from serving_runtime_kit import (
     BatchGate,
@@ -204,6 +205,18 @@ class TestQueryMany:
         engine.ingest([make_trajectory(777)])  # later primary growth...
         assert len(replica) == len(engine) - 1  # ...never leaks into the replica
 
+    def test_replica_keeps_the_engine_config(self):
+        """A replica serves with its primary's whole ``EngineConfig``, not
+        only the backend and geometry a snapshot manifest records."""
+        engine = make_engine(cache_size=0, encode_batch_size=7)
+        seed_engine(engine, 24)
+        replica = engine.replicate()
+        assert replica.config == engine.config
+        request = QueryRequest(queries=probe_queries(3), k=4)
+        replica.query(request)
+        replica.query(request)
+        assert replica.cache_stats["entries"] == 0  # cache_size=0: nothing cached
+
 
 # ---------------------------------------------------------------------- #
 # Batched-vs-sequential bit identity (the tentpole pin)
@@ -284,20 +297,17 @@ class TestGenerationConsistency:
         rows = [p["rows"] for p in hooks.of("publish")]
         assert rows[-1] == 10 and rows == sorted(rows)
 
-    def test_held_batch_keeps_its_generation_while_publishes_land(self, tmp_path):
+    def test_held_batch_keeps_its_generation_while_publishes_land(self):
         """A batch answers on the generation it read at its boundary however
-        many publishes land meanwhile, and no publish leaves its staging
-        snapshot behind: the published replica holds its rows in memory."""
+        many publishes land meanwhile."""
         gate = BatchGate()
         engine = make_engine()
         seed_engine(engine, 12)
-        replica_root = tmp_path / "replicas"
         runtime = ServingRuntime(
             engine,
             ServerConfig(max_batch=1, num_workers=2, publish_every_groups=1),
             hooks=gate,
             clock=VirtualClock(),
-            replica_dir=replica_root,
         )
         request = QueryRequest(queries=probe_queries(2), k=3)
         expected = engine.query(request)  # the primary as generation 1 sees it
@@ -307,7 +317,6 @@ class TestGenerationConsistency:
                 assert gate.holding.wait(timeout=30)  # a worker holds generation 1
                 for wave in range(10):
                     runtime.ingest([make_trajectory(2000 + wave)])  # one publish each
-                    assert list(replica_root.iterdir()) == []
             finally:
                 gate.release()
             assert_responses_identical(held.result(timeout=30), expected)
@@ -317,18 +326,14 @@ class TestGenerationConsistency:
         assert_responses_identical(fresh, latest)
         assert [start["generation"] for start in gate.of("batch_start")] == [1, 11]
 
-    def test_publishes_race_with_queries_and_leave_no_staging(self, tmp_path):
+    def test_publishes_race_with_queries(self):
         """Stress: more workers than cores serve queries while every ingest
-        publishes a new replica; every future resolves and every publish
-        removes its staging snapshot before ``ingest`` returns."""
+        publishes a new replica; every future resolves."""
         engine = make_engine()
         seed_engine(engine, 12)
-        replica_root = tmp_path / "replicas"
         workers = 4
         runtime = ServingRuntime(
-            engine,
-            ServerConfig(max_batch=1, num_workers=workers, publish_every_groups=1),
-            replica_dir=replica_root,
+            engine, ServerConfig(max_batch=1, num_workers=workers, publish_every_groups=1)
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -341,7 +346,6 @@ class TestGenerationConsistency:
                         for s in range(workers)
                     ]
                     runtime.ingest([make_trajectory(4000 + wave)])
-                    assert list(replica_root.iterdir()) == []
                 for future in futures:
                     future.result(timeout=60)
         finally:
@@ -349,9 +353,8 @@ class TestGenerationConsistency:
 
     def test_one_restore_per_publish_on_the_publishing_thread(self, monkeypatch):
         """Each publish restores its replica once, on the thread that
-        publishes it, never on a query worker; restores never overlap (a
-        restore is GIL-bound, and concurrent ``np.load`` header parses can
-        fail)."""
+        publishes it, never on a query worker; restores never overlap (each
+        one reads the primary, which must not change meanwhile)."""
         original_restore = Engine.restore
         guard = threading.Lock()
         active, concurrency, restore_threads = [0], [], []
@@ -393,6 +396,36 @@ class TestGenerationConsistency:
         publish_threads = [event["ident"] for event in hooks.of("publish_thread")]
         assert restore_threads == publish_threads
         assert max(concurrency) == 1
+
+    def test_publish_never_touches_the_filesystem(self, tmp_path, monkeypatch):
+        """Each replica is built in memory from the primary: with snapshot
+        file I/O disabled, a runtime without checkpoints starts, publishes
+        after every ingest and answers bitwise like the primary, and the
+        replica directory it was given never comes into existence."""
+
+        def no_file_io(*args, **kwargs):
+            raise AssertionError("a publish read or wrote a snapshot file")
+
+        monkeypatch.setattr(EmbeddingStore, "save", no_file_io)
+        monkeypatch.setattr(EmbeddingStore, "load", no_file_io)
+        engine = make_engine()
+        seed_engine(engine, 12)
+        replica_root = tmp_path / "replicas"
+        runtime = ServingRuntime(
+            engine,
+            ServerConfig(max_batch=1, num_workers=2, publish_every_groups=1),
+            clock=VirtualClock(),
+            replica_dir=replica_root,
+        )
+        request = QueryRequest(queries=probe_queries(2), k=3)
+        with runtime:
+            for wave in range(3):
+                runtime.ingest([make_trajectory(8000 + wave)])  # one publish each
+                served = runtime.query(request, timeout=30)
+                assert_responses_identical(served, engine.query(request))
+                assert not replica_root.exists()
+            assert runtime.stats()["publishes"] == 4
+        assert not replica_root.exists()
 
 
 # ---------------------------------------------------------------------- #
@@ -479,6 +512,71 @@ class TestShutdown:
         with pytest.raises(ServerClosed):
             runtime.submit(QueryRequest(queries=probe_queries(1)))
         runtime.shutdown()  # idempotent
+
+    def test_wave_submitted_across_shutdown_is_never_lost(self):
+        """``submit_ingest`` either refuses a wave or gets it into the
+        primary, however its lock acquire interleaves with ``shutdown``:
+        here its first ``_ingest_lock`` acquire is held until ``shutdown()``
+        has returned."""
+        engine = make_engine()
+        seed_engine(engine, 8)
+        runtime = make_runtime(engine)
+        runtime.start()
+        lock = runtime._ingest_lock
+        at_lock, shut_down = threading.Event(), threading.Event()
+
+        class HeldFirstAcquire:
+            held = False
+
+            def __enter__(self):
+                if threading.current_thread() is submitter and not self.held:
+                    self.held = True
+                    at_lock.set()
+                    assert shut_down.wait(timeout=30)
+                return lock.__enter__()
+
+            def __exit__(self, *exc):
+                return lock.__exit__(*exc)
+
+        runtime._ingest_lock = HeldFirstAcquire()
+        outcome = []
+
+        def submit() -> None:
+            try:
+                outcome.append(runtime.submit_ingest([make_trajectory(900)]))
+            except ServerClosed as closed:
+                outcome.append(closed)
+
+        submitter = threading.Thread(target=submit)
+        submitter.start()
+        assert at_lock.wait(timeout=30)
+        runtime.shutdown()
+        shut_down.set()
+        submitter.join(timeout=30)
+        assert not submitter.is_alive()
+        (result,) = outcome
+        assert isinstance(result, ServerClosed) or len(engine) == 9
+
+    def test_ingest_after_shutdown_is_refused(self):
+        engine = make_engine()
+        seed_engine(engine, 8)
+        runtime = make_runtime(engine, publish_every_groups=1)
+        # Before start, the synchronous levers work (the crash-restart kit
+        # drives runtimes this way).
+        assert runtime.ingest([make_trajectory(901)]) == 1
+        runtime.submit_ingest([make_trajectory(902)])
+        assert runtime.pump()["waves"] == 1
+        runtime.flush_ingest()
+        assert len(engine) == 10
+        runtime.start()
+        runtime.shutdown()
+        rows, publishes = len(engine), runtime.stats()["publishes"]
+        with pytest.raises(ServerClosed):
+            runtime.ingest([make_trajectory(903)])
+        with pytest.raises(ServerClosed):
+            runtime.submit_ingest([make_trajectory(904)])
+        assert len(engine) == rows
+        assert runtime.stats()["publishes"] == publishes
 
     def test_final_flush_and_checkpoint_on_shutdown(self, tmp_path):
         engine = make_engine()
