@@ -11,8 +11,11 @@ and ``segments()`` are the store's.
 Determinism contract: the derived index structure must be a pure function of
 ``(stored rows in order, backend parameters, seed)`` — never of arrival
 batching or query history.  ``Engine.restore`` replays a snapshot's rows in
-the original order (tombstones re-applied afterwards), so a restored replica
-rebuilds the identical structure and answers bit-identically.
+the original order (tombstones re-applied afterwards), and a live replica
+(:meth:`~repro.streaming.shards.ShardedIndex.replica`) reads the source's
+stored rows in place, so either rebuilds the identical structure and answers
+bit-identically.  A replica shares no structure or centroid cache with its
+source: it retrains lazily on its first query, like a restored one.
 """
 
 from __future__ import annotations
@@ -74,6 +77,13 @@ class AnnBackendBase(ShardedIndex):
 
     def _on_compact(self) -> None:
         """Hook: compaction changes the storage prefix (caches keyed on it die)."""
+
+    def replica(self) -> "AnnBackendBase":
+        """The store's replica, with its own lock and no trained structure."""
+        replica = super().replica()
+        replica._structure = None
+        replica._structure_lock = threading.Lock()
+        return replica
 
     # ------------------------------------------------------------------ #
     # Structure lifecycle (subclass responsibility)

@@ -126,6 +126,11 @@ class IVFBackend(AnnBackendBase):
     def _on_compact(self) -> None:
         self._centroid_cache = None  # compaction rewrites the storage prefix
 
+    def replica(self) -> "IVFBackend":
+        replica = super().replica()
+        replica._centroid_cache = None  # trains its own, like a restored replica
+        return replica
+
     # ------------------------------------------------------------------ #
     # Training / structure
     # ------------------------------------------------------------------ #

@@ -105,8 +105,10 @@ class IndexBackend(Protocol):
     ``generation`` must increase on every mutation (the engine keys its query
     cache on it), ``next_id`` is the id the next auto-assigned row receives
     (persisted across snapshot/restore so ids are never reused), and
-    ``segments()`` exposes the stored rows for snapshots and replicas as
-    ``(vectors, ids, dead)`` triples.  ``supports_removal`` declares whether
+    ``segments()`` exposes the stored rows for snapshots and replaying
+    restores as ``(vectors, ids, dead)`` triples (a live restore of a
+    :class:`~repro.streaming.shards.ShardedIndex` uses its ``replica()``
+    instead).  ``supports_removal`` declares whether
     ``remove`` works (append-only backends set it ``False`` and raise
     :class:`UnsupportedOperation`); the engine consults it when restoring a
     tombstoned snapshot into a different backend.

@@ -47,7 +47,7 @@ from repro.obs.metrics import (
 from repro.serving.index import DEFAULT_DATABASE_CHUNK, DEFAULT_QUERY_CHUNK, as_float32_matrix
 from repro.serving.store import DEFAULT_ENCODE_BATCH, EmbeddingStore
 from repro.streaming.reader import TrajectoryStreamReader
-from repro.streaming.shards import DEFAULT_SHARD_CAPACITY
+from repro.streaming.shards import DEFAULT_SHARD_CAPACITY, ShardedIndex
 from repro.utils.clock import Clock, SystemClock
 
 #: Bump when the engine snapshot layout changes; readers refuse newer formats.
@@ -654,9 +654,11 @@ class Engine:
     def replicate(self) -> "Engine":
         """A bit-stable read replica of this engine: :meth:`restore` from it, in memory.
 
-        The replica keeps this engine's :class:`EngineConfig`, answers vector
-        queries **bit-identically** to this engine at the moment of the call
-        and shares no index state with it afterwards; no file is read or
+        The replica keeps this engine's :class:`EngineConfig` and answers
+        vector queries **bit-identically** to this engine at the moment of
+        the call.  It shares the stored rows read-only, owns its tombstones
+        and copies before any write (see :meth:`restore`), so neither
+        engine's later mutations reach the other; no file is read or
         written.  This engine must not be mutated during the call — the
         serving runtime publishes each generation this way on its ingest
         thread, the primary's only writer.  The replica shares this engine's
@@ -681,15 +683,24 @@ class Engine:
     ) -> "Engine":
         """Rebuild an engine's index from a :meth:`snapshot` directory or a live engine.
 
-        Both sources feed one replay: segments are re-added in order with
-        their ids (tombstoned rows included, then re-removed in sorted
-        order), then ``next_id`` is carried over.  That reproduces the
-        original backend layout row for row, so queries against the restored
-        engine are bit-identical to the original.  A live ``source`` is read
-        through its backend's ``segments()`` only and must not be mutated
+        A live ``source`` whose backend is a
+        :class:`~repro.streaming.shards.ShardedIndex` (every built-in is),
+        restored under its own config, **shares** its stored rows:
+        the new backend is ``source.backend.replica()``, whose segments read
+        the source's vectors, norms and ids in place, own their tombstone
+        masks and copy their buffers before any write — O(segments) plus
+        one byte per stored row.  Every other source feeds one replay: a
+        snapshot directory, a live source restored under a different config
+        (another backend or geometry), or a backend that is not a
+        ``ShardedIndex``.  Its segments are re-added in order with their ids
+        (tombstoned rows included, then re-removed in sorted order), then
+        ``next_id`` is carried over.  Either way the restored layout is the
+        original's row for row, so queries against the restored engine are
+        bit-identical to the original.  A live source must not be mutated
         during the call; no file is touched, ``config`` defaults to
-        ``source.config`` and the trajectory-id map is copied.  A directory's
-        manifest backend and geometry win unless ``config`` is given.
+        ``source.config`` and the trajectory-id map is copied.  A
+        directory's manifest backend and geometry win unless ``config`` is
+        given.
 
         Snapshots of the retired pre-facade ``IngestService`` restore too:
         their manifest lists ``shards`` instead of ``segments`` and names no
@@ -698,6 +709,11 @@ class Engine:
         """
         if isinstance(source, Engine):
             config = config or source.config
+            if config == source.config and isinstance(source._backend, ShardedIndex):
+                engine = cls(encoder, config, metrics=metrics, clock=clock)
+                engine._backend = source._backend.replica()
+                engine._trajectory_ids = dict(source._trajectory_ids)
+                return engine
             segments = source._backend.segments()
             trajectory_ids = dict(source._trajectory_ids)
             next_id = source._backend.next_id

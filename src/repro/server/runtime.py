@@ -18,7 +18,11 @@ threads).  Each *published generation* is one read-only replica engine,
 built once at publish time by :meth:`Engine.replicate
 <repro.api.Engine.replicate>` — an in-memory ``Engine.restore`` from the
 primary itself, bit-identical by the facade's restore contract, with no
-staging snapshot or file — and every worker answers from it.  A worker
+staging snapshot or file — and every worker answers from it.  The
+replica's segments read the primary's stored rows in place and own only
+their tombstone masks (rows are append-only, and the ingest thread writes
+only past every replica's row count), so the runtime holds one copy of the
+rows however many generations and workers are live.  A worker
 reads the published replica at each batch boundary and executes the whole
 batch against it, so concurrent ingestion can never tear a batch's view of
 the index.  Workers encode trajectory queries under a shared encode lock
@@ -740,7 +744,11 @@ class ServingRuntime:
     def _publish_locked(self, *, force_checkpoint: bool = False) -> None:
         """Replicate the primary in memory (no file is read or written) and
         atomically publish it as a new generation; holding ``_ingest_lock``
-        keeps the primary unchanged while it is read."""
+        keeps the primary unchanged while it is read.  The replica shares
+        the primary's stored rows and copies only its tombstone masks and
+        trajectory-id map; later ingests append past its rows and
+        compactions write fresh segments, so it never changes under a
+        held batch."""
         if self.config.compact_min_tombstones > 0:
             self.primary.compact(min_tombstones=self.config.compact_min_tombstones)
         self._generation += 1

@@ -18,6 +18,12 @@ squared norms, global ids and a tombstone mask — in append-only
   surviving ids;
 * **compaction** rewrites the segment list without tombstoned rows,
   reclaiming their memory once enough garbage accumulates;
+* **replicas** (:meth:`ShardedIndex.replica`) rely on that append-only
+  storage: a replica's segments read the source's stored vectors, norms and
+  ids in place, up to their own row counts, and own only a copy of their
+  tombstone masks.  The source keeps appending past every replica's row
+  count, and a replica copies its buffers before its own first append, so
+  neither ever writes rows the other reads;
 * **queries** carry one running top-k through the segments in order: each
   segment continues the *same* chunked kernel as the monolithic index
   (:func:`repro.serving.index.scan_topk_candidates`) from the candidates the
@@ -46,6 +52,7 @@ order, so a ``ShardedIndex`` filled in database order reports the same ids a
 
 from __future__ import annotations
 
+import copy
 import sys
 from typing import Iterator
 
@@ -74,11 +81,17 @@ _UNSEALED_CAPACITY = sys.maxsize
 class IndexShard:
     """One append-only segment of a :class:`ShardedIndex`.
 
-    The shard owns a growable (doubling) float32 buffer of vectors, their
+    The shard keeps a growable (doubling) float32 buffer of vectors, their
     cached squared norms, their global row ids and a tombstone mask.  It is
     append-only in the segment sense: rows are only ever added at the end
     (until ``capacity``) or tombstoned — never updated or reordered.  Id
     lookup belongs to the owning index, which addresses rows by position.
+
+    Because stored rows are written once, a :meth:`twin` reads this shard's
+    vector, norm and id buffers in place and copies only the tombstone mask.
+    A shard never writes into buffers it does not own: a twin copies them
+    before its first append, even when the rows would fit the spare
+    allocation, because that space belongs to the owner's later appends.
     """
 
     def __init__(self, dim: int, capacity: int, *, database_chunk_size: int = DEFAULT_DATABASE_CHUNK) -> None:
@@ -96,6 +109,8 @@ class IndexShard:
         self._dead = np.zeros(allocation, dtype=bool)
         self._count = 0
         self._dead_count = 0
+        #: ``False`` on a twin: the row buffers belong to another shard.
+        self._owns_rows = True
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -139,9 +154,17 @@ class IndexShard:
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
+    def twin(self) -> "IndexShard":
+        """A shard reading these stored rows in place, with its own tombstones."""
+        twin = copy.copy(self)
+        twin._dead = self._dead[: self._count].copy()
+        twin._owns_rows = False
+        return twin
+
     def _grow_to(self, needed: int) -> None:
+        """Make room for ``needed`` rows in buffers this shard owns."""
         allocated = self._vectors.shape[0]
-        if needed <= allocated:
+        if needed <= allocated and self._owns_rows:
             return
         new_size = allocated
         while new_size < needed:
@@ -153,6 +176,7 @@ class IndexShard:
             fresh = np.zeros(shape, dtype=old.dtype) if name == "_dead" else np.empty(shape, dtype=old.dtype)
             fresh[: self._count] = old[: self._count]
             setattr(self, name, fresh)
+        self._owns_rows = True
 
     def append(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         """Append rows (must fit: callers split across shards via ``remaining``)."""
@@ -235,8 +259,9 @@ class ShardedIndex:
     Registered as the ``"sharded"`` backend and the base class of every
     other built-in one.  Supports ``add`` / ``remove`` / ``compact``
     mutations, ``top_k`` queries that carry one running top-k through the
-    shards in order, ``ranks_of`` counts summed over shards, and
-    ``segments()`` for snapshots.
+    shards in order, ``ranks_of`` counts summed over shards, ``segments()``
+    for snapshots, and :meth:`replica` — a read replica that relies on the
+    append-only storage to share every stored row instead of copying it.
 
     ``generation`` increments on every mutation; caches keyed on it (the
     engine's LRU) invalidate automatically.
@@ -270,12 +295,14 @@ class ShardedIndex:
         self.query_chunk_size = int(query_chunk_size)
         self.database_chunk_size = int(database_chunk_size)
         self._shards: list[IndexShard] = []
-        #: Storage position of every alive row, by id (see the module docstring).
-        self._position_of: dict[int, int] = {}
+        #: Storage position of every alive row, by id (see the module
+        #: docstring).  ``None`` on a replica until `_id_map` builds it.
+        self._position_of: dict[int, int] | None = {}
         #: Ids of tombstoned rows still stored in some shard: re-adding one
         #: would store two rows under the same id (and make snapshots
-        #: unrestorable), so `add` rejects them until `compact`.
-        self._dead_ids: set[int] = set()
+        #: unrestorable), so `add` rejects them until `compact`.  Built
+        #: together with `_position_of`.
+        self._dead_ids: set[int] | None = set()
         self._next_id = 0
         self.generation = 0
 
@@ -293,7 +320,7 @@ class ShardedIndex:
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         """Alive (queryable) rows across all shards."""
-        return len(self._position_of)
+        return sum(len(shard) - shard.dead_count for shard in self._shards)
 
     @property
     def dim(self) -> int | None:
@@ -322,10 +349,49 @@ class ShardedIndex:
     @property
     def tombstone_count(self) -> int:
         """Stored-but-dead rows awaiting :meth:`compact`."""
-        return len(self._dead_ids)
+        return sum(shard.dead_count for shard in self._shards)
 
     def __contains__(self, row_id: int) -> bool:
-        return int(row_id) in self._position_of
+        return int(row_id) in self._id_map()
+
+    def _id_map(self) -> dict[int, int]:
+        """The alive-id → storage-position map; a replica builds it from its
+        shards on first need (serving top-k queries never needs it)."""
+        if self._position_of is None:
+            position_of: dict[int, int] = {}
+            dead_ids: set[int] = set()
+            start = 0
+            for shard in self._shards:
+                ids, dead = shard.ids, shard.dead
+                alive = np.flatnonzero(~dead)
+                position_of.update(zip(ids[alive].tolist(), (alive + start).tolist()))
+                dead_ids.update(ids[dead].tolist())
+                start += len(shard)
+            # Complete before it is published: concurrent readers of a
+            # shared replica may build it twice, but never see half of it.
+            self._dead_ids = dead_ids
+            self._position_of = position_of
+        return self._position_of
+
+    def replica(self) -> "ShardedIndex":
+        """A read replica over the same stored rows, built in O(segments).
+
+        Each replica segment is an :meth:`IndexShard.twin`: it reads this
+        index's vectors, norms and ids in place, up to its own row count,
+        and owns a copy of its tombstone mask, so the replica answers
+        bit-identically by construction.  No later mutation of either index
+        reaches the other: this one only appends past the replica's row
+        counts or compacts into fresh segments, and the replica copies its
+        buffers before its own first append.  The id map is not copied; the
+        replica builds it on its first ``add``, ``remove``, ``ranks_of`` or
+        ``in``.  This index must not be mutated during the call.  A subclass
+        that adds mutable state must override this to give the replica its
+        own.
+        """
+        replica = copy.copy(self)
+        replica._shards = [shard.twin() for shard in self._shards]
+        replica._position_of = replica._dead_ids = None
+        return replica
 
     def segments(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The stored rows as ``(vectors, ids, dead)`` views, one per non-empty shard."""
@@ -355,8 +421,9 @@ class ShardedIndex:
         truth = np.asarray(truth_ids, dtype=np.int64)
         if truth.shape != (queries.shape[0],):
             raise ValueError("truth_ids must have one entry per query row")
+        position_of = self._id_map()
         try:
-            positions = [self._position_of[row_id] for row_id in truth.tolist()]
+            positions = [position_of[row_id] for row_id in truth.tolist()]
         except KeyError as missing:
             raise ValueError(
                 f"truth id {missing.args[0]} is not an alive row of the index"
@@ -392,10 +459,11 @@ class ShardedIndex:
         elif vectors.shape[1] != self._dim:
             raise ValueError(f"vector dimension {vectors.shape[1]} != index dimension {self._dim}")
         count = vectors.shape[0]
+        position_of = self._id_map()
         if ids is None:
             ids = np.arange(self._next_id, self._next_id + count, dtype=np.int64)
         else:
-            ids = check_new_ids(ids, count, self._position_of.keys(), self._dead_ids)
+            ids = check_new_ids(ids, count, position_of.keys(), self._dead_ids)
         if count == 0:
             return ids
         start = sum(len(shard) for shard in self._shards)
@@ -413,7 +481,7 @@ class ShardedIndex:
             take = min(shard.remaining, count - written)
             shard.append(vectors[written : written + take], ids[written : written + take])
             written += take
-        self._position_of.update(zip(ids.tolist(), range(start, start + count)))
+        position_of.update(zip(ids.tolist(), range(start, start + count)))
         self._next_id = max(self._next_id, int(ids.max()) + 1)
         self.generation += 1
         return ids
@@ -421,8 +489,9 @@ class ShardedIndex:
     def remove(self, ids) -> int:
         """Tombstone rows by global id; returns how many were alive."""
         removed = 0
+        position_of = self._id_map()
         for row_id in np.atleast_1d(np.asarray(ids, dtype=np.int64)).tolist():
-            position = self._position_of.pop(row_id, None)
+            position = position_of.pop(row_id, None)
             if position is None:
                 continue
             shard, row = divmod(position, self.shard_capacity)

@@ -33,7 +33,9 @@ What the contract requires of everyone:
   on it), ``next_id`` only moves forward and survives snapshots;
 * restore through the engine is **bit-stable**, from a snapshot directory
   or from the live engine: the replica answers queries bit-identically and
-  shares no state with its source;
+  shares no *mutable* state with its source (a live restore may read the
+  source's stored rows in place, which are never rewritten), so growing,
+  removing from or compacting the source never moves the replica;
 * backends without removal support raise
   :class:`~repro.api.backends.UnsupportedOperation` from ``remove`` and
   return ``False`` from ``compact``.
@@ -455,13 +457,15 @@ class IndexBackendConformanceSuite:
         again = second.query(QueryRequest(queries=queries, k=10))
         np.testing.assert_array_equal(original.ids, again.ids)
         assert (original.distances == again.distances).all()
-        # The replica shares no state with its source: growing the source,
-        # or removing rows from it, leaves the replica's answers unchanged
-        # (scanned through its backend, so its query cache cannot hide it).
+        # The replica shares no mutable state with its source: growing the
+        # source, removing rows from it or compacting it leaves the replica's
+        # answers unchanged (scanned through its backend, so its query cache
+        # cannot hide it).
         rows = len(replica)
         engine.ingest_vectors(queries)  # rows every query would now rank first
         if engine.backend.supports_removal:
             engine.remove(np.unique(restored.ids[:, :3]))
+            assert engine.compact()
         after = replica.backend.top_k(queries, 10)
         assert len(replica) == rows
         np.testing.assert_array_equal(after.indices, restored.ids)

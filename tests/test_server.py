@@ -23,6 +23,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -31,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Engine, QueryRequest
+from repro.api import Engine, EngineConfig, QueryRequest
 from repro.api.engine import _LRUCache
 from repro.obs import NULL_REGISTRY
 from repro.server import (
@@ -44,6 +45,7 @@ from repro.server import (
 from repro.serving.store import EmbeddingStore
 from repro.streaming.reader import TrajectoryStreamReader
 from serving_runtime_kit import (
+    DIM,
     BatchGate,
     FaultInjector,
     FlakyEncoder,
@@ -204,6 +206,77 @@ class TestQueryMany:
         assert_responses_identical(replica.query(request), engine.query(request))
         engine.ingest([make_trajectory(777)])  # later primary growth...
         assert len(replica) == len(engine) - 1  # ...never leaks into the replica
+
+    def test_replicate_shares_the_stored_rows_and_copies_only_tombstones(self):
+        """A replica reads its primary's stored rows in place: every replica
+        segment's vectors, norms and ids share memory with the primary's, its
+        tombstone mask does not, and replicating 50k x 64 rows with 1%
+        tombstones retains well under a MiB (a copy of the rows is ~18 MiB)."""
+        rng = np.random.default_rng(1901)
+        engine = Engine(id_encode, EngineConfig(backend="sharded"))
+        for start in range(0, 50_000, 4096):
+            rows = min(4096, 50_000 - start)
+            engine.ingest_vectors(rng.standard_normal((rows, 64)).astype(np.float32))
+        engine.remove(rng.choice(50_000, size=500, replace=False))
+        tracemalloc.start()
+        try:
+            replica = engine.replicate()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.5 * 2**20, f"replicate retained {retained / 2**20:.2f} MiB"
+        shards = engine.backend.shards
+        assert len(replica.backend.shards) == len(shards) == 7
+        for own, shared in zip(shards, replica.backend.shards):
+            assert np.shares_memory(shared.vectors, own.vectors)
+            assert np.shares_memory(shared.norms, own.norms)
+            assert np.shares_memory(shared.ids, own.ids)
+            assert not np.shares_memory(shared.dead, own.dead)
+            np.testing.assert_array_equal(shared.dead, own.dead)
+
+    def test_primary_and_replica_never_write_into_each_others_rows(self):
+        """Write isolation both ways.  After a replicate, the primary appends
+        rows that fit its tail segment's spare allocation and removes one;
+        then the replica ingests, removes and compacts.  The primary's stored
+        rows, row count and answers stay bitwise as they were, and the
+        replica answers like an engine given the replica's operations."""
+        rng = np.random.default_rng(1902)
+        base, grow, extra = (
+            rng.standard_normal((rows, DIM)).astype(np.float32) for rows in (20, 3, 5)
+        )
+        probes = probe_queries()
+
+        def answers(engine):  # through the backend: no query cache can hide a change
+            result = engine.backend.top_k(probes, 5)
+            return (
+                len(engine),
+                result.indices.tobytes(),
+                result.distances.tobytes(),
+                engine.trajectory_ids(result.indices).tobytes(),
+            )
+
+        primary = make_engine(backend="sharded")  # 16-row segments
+        primary.ingest_vectors(base)
+        tail = primary.backend.shards[-1]
+        assert len(tail) + len(grow) <= tail._vectors.shape[0]  # room to append in place
+        replica = primary.replicate()
+        primary.ingest_vectors(grow)
+        primary.remove([3])
+        stored = [shard.vectors.tobytes() for shard in primary.backend.shards]
+        expected = answers(primary)
+
+        replica.ingest_vectors(extra, trajectory_ids=range(900, 905))
+        replica.remove([2, 21, 22])
+        assert replica.compact()
+        assert [shard.vectors.tobytes() for shard in primary.backend.shards] == stored
+        assert answers(primary) == expected
+
+        reference = make_engine(backend="sharded")
+        reference.ingest_vectors(base)
+        reference.ingest_vectors(extra, trajectory_ids=range(900, 905))
+        reference.remove([2, 21, 22])
+        assert reference.compact()
+        assert answers(replica) == answers(reference)
 
     def test_replica_keeps_the_engine_config(self):
         """A replica serves with its primary's whole ``EngineConfig``, not

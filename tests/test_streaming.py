@@ -10,6 +10,8 @@ across several shard counts) and as a hypothesis property.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -268,3 +270,60 @@ class TestShardedIndexMutation:
         assert result.indices.shape == (3, 0)
         with pytest.raises(ValueError):
             index.top_k(np.zeros((3, 4), dtype=np.float32), k=0)
+
+
+class TestShardedIndexReplica:
+    def test_shared_replica_holds_while_its_source_appends_in_place(self, rng):
+        """Stress: more threads than cores query one fresh replica — top-k,
+        ranks (the first call builds its lazy id map) and membership — while
+        its source appends into the spare allocation of the tail segment they
+        share, and tombstones each query's nearest row.  Every answer equals
+        the one an untouched replica gave before the race."""
+        database = rng.standard_normal((1100, 8)).astype(np.float32)
+        truth = np.arange(6, dtype=np.int64) * 180 + 1
+        queries = database[truth]  # each truth row is its query's nearest
+        source = ShardedIndex.from_vectors(database, shard_capacity=1024, database_chunk_size=64)
+        source.remove([5])  # replica scans consult their tombstone masks
+        tail = source.shards[-1]
+        assert len(tail) + 100 <= tail._vectors.shape[0]  # the appends land in place
+        reference = source.replica()
+        expected_top = reference.top_k(queries, 5)
+        expected_ranks = reference.ranks_of(queries, truth)
+        replica = source.replica()
+        threads, rounds = 4, 50
+        start = threading.Barrier(threads + 1)
+        mismatches: list[str] = []
+
+        def reader():
+            start.wait(timeout=30)
+            try:
+                for _ in range(rounds):
+                    if not np.array_equal(replica.ranks_of(queries, truth), expected_ranks):
+                        mismatches.append("ranks_of")
+                    if 1101 in replica or int(truth[0]) not in replica or len(replica) != 1099:
+                        mismatches.append("membership")
+                    top = replica.top_k(queries, 5)
+                    if top.indices.tobytes() != expected_top.indices.tobytes() or (
+                        top.distances.tobytes() != expected_top.distances.tobytes()
+                    ):
+                        mismatches.append("top_k")
+            except Exception as error:  # a reader's failure must fail the test
+                mismatches.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=reader) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            start.wait(timeout=30)
+            for wave in range(20):
+                source.add(rng.standard_normal((5, 8)).astype(np.float32))
+                source.remove([int(truth[wave % 6]), 1100 + wave])
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert mismatches == []
+        assert len(source) == 1100 + 100 - 1 - 6 - 20
