@@ -109,7 +109,6 @@ class LayeringConfig:
     """
 
     facade_only: tuple[str, ...] = (
-        "EmbeddingStore",
         "SimilarityIndex",
         "ShardedIndex",
     )

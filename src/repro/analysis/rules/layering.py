@@ -2,14 +2,13 @@
 
 PR 4 made :class:`repro.api.Engine` the single construction point for the
 serving stack, and PR 6 built the server on that guarantee — replica
-snapshots restore bit-identically *because* every store/index is built
-with facade-controlled geometry.  A stray ``ShardedIndex(...)`` in an
+snapshots restore bit-identically *because* every index is built with
+facade-controlled geometry.  A stray ``ShardedIndex(...)`` in an
 experiment reopens the side doors the facade closed.  Two checks:
 
 ``layer-direct-construction``
-    Calls that construct facade-only classes (``EmbeddingStore``,
-    ``SimilarityIndex``, ``ShardedIndex``) outside the facade and the
-    layers that define them.
+    Calls that construct facade-only classes (``SimilarityIndex``,
+    ``ShardedIndex``) outside the facade and the layers that define them.
 
 ``layer-mutable-api-type``
     Dataclasses in ``api/types.py`` not declared ``frozen=True`` — responses
@@ -32,7 +31,7 @@ class DirectConstructionRule(Rule):
     rule_id = "layer-direct-construction"
     family = "layer"
     description = (
-        "EmbeddingStore/SimilarityIndex/ShardedIndex constructed "
+        "SimilarityIndex/ShardedIndex constructed "
         "outside repro.api and the layers that define them"
     )
 

@@ -5,7 +5,7 @@ trajectories, index the vectors, serve similarity queries, persist and
 restore both the model and the index — is reachable from one object
 configured by one :class:`EngineConfig`.  Callers above this layer
 (``repro.eval``, ``repro.experiments``, ``examples/``) never construct
-stores or indexes directly; they pick a backend by config string and talk
+indexes directly; they pick a backend by config string and talk
 requests/responses (:mod:`repro.api.types`).
 
 The engine wraps *any* encoder with the shared
@@ -37,6 +37,7 @@ from repro.api.types import (
 from repro.core.config import StartConfig
 from repro.core.model import STARTModel
 from repro.core.pretraining import Pretrainer
+from repro.nn import length_bucketed_indices, no_grad
 from repro.nn.serialization import load_checkpoint, read_metadata, save_checkpoint
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -45,7 +46,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.serving.index import DEFAULT_DATABASE_CHUNK, DEFAULT_QUERY_CHUNK, as_float32_matrix
-from repro.serving.store import DEFAULT_ENCODE_BATCH, EmbeddingStore
 from repro.streaming.reader import TrajectoryStreamReader
 from repro.streaming.shards import DEFAULT_SHARD_CAPACITY, ShardedIndex
 from repro.utils.clock import Clock, SystemClock
@@ -54,6 +54,14 @@ from repro.utils.clock import Clock, SystemClock
 SNAPSHOT_FORMAT_VERSION = 1
 
 _MANIFEST_NAME = "manifest.json"
+
+#: Bump when a segment file's layout changes; readers refuse newer segments.
+_SEGMENT_FORMAT_VERSION = 1
+
+#: The name of a segment npz's JSON metadata entry (part of the on-disk format).
+_SEGMENT_META_KEY = "__embedding_store_meta__"
+
+DEFAULT_ENCODE_BATCH = 64
 
 DEFAULT_QUERY_CACHE_SIZE = 128
 
@@ -376,8 +384,20 @@ class Engine:
             batch_size = self.config.encode_batch_size or DEFAULT_ENCODE_BATCH
         if not trajectories:
             return np.zeros((0, self._backend.dim or 0), dtype=np.float32)
-        store = EmbeddingStore.build(self._counted_encode, trajectories, batch_size=batch_size)
-        return store.vectors
+        vectors: np.ndarray | None = None
+        with no_grad():
+            for rows in length_bucketed_indices([len(t) for t in trajectories], batch_size):
+                batch = [trajectories[i] for i in rows]
+                encoded = np.asarray(self._counted_encode(batch), dtype=np.float32)
+                if encoded.shape[0] != len(batch):
+                    raise ValueError(
+                        f"encoder returned {encoded.shape[0]} rows for a batch of {len(batch)}"
+                    )
+                if vectors is None:
+                    vectors = np.empty((len(trajectories), encoded.shape[1]), dtype=np.float32)
+                vectors[rows] = encoded
+        vectors.flags.writeable = False
+        return vectors
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -412,7 +432,7 @@ class Engine:
         """Add pre-encoded vectors to the index (the encode-free ingest path).
 
         Useful when the same vectors feed several engines (cross-backend
-        checks) or arrive from a store archive.  ``trajectory_ids`` defaults
+        checks) or were encoded elsewhere.  ``trajectory_ids`` defaults
         to the assigned global row ids; individual ``None`` entries take the
         same default.
         """
@@ -421,8 +441,10 @@ class Engine:
         if trajectory_ids is not None:
             if len(trajectory_ids) != vectors.shape[0]:
                 raise ValueError("trajectory_ids must have one entry per vector row")
+            # Only ids that differ from the row id are stored: the row id is
+            # what trajectory_ids() answers for an unmapped row anyway.
             for row_id, source_id in zip(row_ids, trajectory_ids):
-                if source_id is not None:
+                if source_id is not None and int(source_id) != int(row_id):
                     self._trajectory_ids[int(row_id)] = int(source_id)
         return row_ids
 
@@ -608,9 +630,9 @@ class Engine:
     def snapshot(self, directory: str | Path) -> SnapshotInfo:
         """Write the index state under ``directory``; returns what was written.
 
-        One versioned :class:`~repro.serving.store.EmbeddingStore` npz per
-        backend segment (vectors + global row ids, with tombstoned ids and
-        the trajectory-id map in metadata) plus ``manifest.json`` recording
+        One npz per backend segment — ``vectors``, global row ``ids`` and a
+        JSON metadata entry (segment format version, count, dim, tombstoned
+        ids, every row's trajectory id) — plus ``manifest.json`` recording
         the backend name and geometry.  A restored replica answers
         bit-identically to the original — the model is not needed.
         """
@@ -619,15 +641,19 @@ class Engine:
         segment_files: list[str] = []
         for number, (vectors, ids, dead) in enumerate(self._backend.segments()):
             name = f"segment_{number:05d}.npz"
-            store = EmbeddingStore(
-                vectors,
-                ids=ids,
-                metadata={
+            vectors = as_float32_matrix(vectors)
+            ids = np.asarray(ids, dtype=np.int64)
+            meta = {
+                "format_version": _SEGMENT_FORMAT_VERSION,
+                "count": int(vectors.shape[0]),
+                "dim": int(vectors.shape[1]),
+                "metadata": {
                     "deleted_ids": [int(i) for i in ids[dead]],
                     "trajectory_ids": [self._trajectory_ids.get(int(i), int(i)) for i in ids],
                 },
-            )
-            store.save(directory / name)
+            }
+            blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+            np.savez(directory / name, vectors=vectors, ids=ids, **{_SEGMENT_META_KEY: blob})
             segment_files.append(name)
         manifest = {
             "format_version": SNAPSHOT_FORMAT_VERSION,
@@ -771,12 +797,31 @@ def _snapshot_segments(directory: Path, names: list[str], trajectory_ids: dict[i
     """A snapshot's segments as ``(vectors, ids, dead)``, loaded one at a time.
 
     Fills ``trajectory_ids`` for the alive rows whose trajectory id is not
-    their row id (the default of :meth:`Engine.trajectory_ids`).
+    their row id (the default of :meth:`Engine.trajectory_ids`).  A file
+    with no metadata entry, a newer segment format, or a count/dim that
+    disagrees with its arrays raises ``ValueError``.
     """
     for name in names:
-        store = EmbeddingStore.load(directory / name)
-        dead = np.isin(store.ids, store.metadata.get("deleted_ids", []))
-        mapped = np.asarray(store.metadata.get("trajectory_ids", store.ids), dtype=np.int64)
-        keep = ~dead & (mapped != store.ids)
-        trajectory_ids.update(zip(store.ids[keep].tolist(), mapped[keep].tolist()))
-        yield store.vectors, store.ids, dead
+        path = directory / name
+        with np.load(path, allow_pickle=False) as archive:
+            if _SEGMENT_META_KEY not in archive.files:
+                raise ValueError(f"{path} is not a snapshot segment (no metadata entry)")
+            meta = json.loads(archive[_SEGMENT_META_KEY].tobytes().decode("utf-8"))
+            version = int(meta.get("format_version", 0))
+            if version > _SEGMENT_FORMAT_VERSION:
+                raise ValueError(
+                    f"{path} uses segment format v{version}; "
+                    f"this build reads up to v{_SEGMENT_FORMAT_VERSION}"
+                )
+            vectors = as_float32_matrix(archive["vectors"])
+            ids = np.asarray(archive["ids"], dtype=np.int64)
+        count = int(meta.get("count", vectors.shape[0]))
+        dim = int(meta.get("dim", vectors.shape[1]))
+        if vectors.shape != (count, dim) or ids.shape != (count,):
+            raise ValueError(f"{path} metadata does not match its arrays")
+        metadata = meta.get("metadata", {})
+        dead = np.isin(ids, metadata.get("deleted_ids", []))
+        mapped = np.asarray(metadata.get("trajectory_ids", ids), dtype=np.int64)
+        keep = ~dead & (mapped != ids)
+        trajectory_ids.update(zip(ids[keep].tolist(), mapped[keep].tolist()))
+        yield vectors, ids, dead

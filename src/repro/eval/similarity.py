@@ -57,49 +57,24 @@ def euclidean_distance_matrix(
     return out
 
 
-def ranks_of_ground_truth(
-    distances: np.ndarray,
-    ground_truth: dict[int, int],
-    threshold: int | None = None,
-) -> np.ndarray:
+def ranks_of_ground_truth(distances: np.ndarray, ground_truth: dict[int, int]) -> np.ndarray:
     """1-based rank of each query's ground-truth database item.
 
-    With ``threshold=None`` ranks are exact, computed by counting the items
-    that sort strictly before the truth (smaller distance, or equal distance
-    and smaller index — the stable-argsort order) in ``O(D)`` per query
-    instead of a full ``O(D log D)`` sort.
-
-    With a ``threshold`` the rank is only resolved up to that value: items
-    outside the ``argpartition`` top-``threshold`` are reported as
-    ``threshold + 1``.  That is sufficient (and much cheaper on large
-    databases) when the caller only needs hit ratios at ``k <= threshold``.
-    When exact-equal distances straddle the partition boundary the truth may
-    land on either side of it, so ranks at exactly ``threshold`` are only
-    reliable on distance-distinct data — use the exact path if that matters.
+    Ranks are exact, computed by counting the items that sort strictly
+    before the truth (smaller distance, or equal distance and smaller
+    index — the stable-argsort order) in ``O(D)`` per query instead of a
+    full ``O(D log D)`` sort.
     """
     distances = np.asarray(distances)
     query_rows = np.fromiter(ground_truth.keys(), dtype=np.int64, count=len(ground_truth))
     truth_cols = np.fromiter(ground_truth.values(), dtype=np.int64, count=len(ground_truth))
     rows = distances[query_rows]
     truth_values = rows[np.arange(rows.shape[0]), truth_cols]
-    if threshold is None:
-        strictly_closer = rows < truth_values[:, None]
-        column_index = np.arange(rows.shape[1], dtype=np.int64)
-        ties_before = (rows == truth_values[:, None]) & (column_index[None, :] < truth_cols[:, None])
-        # The truth column matches neither mask (not < itself, not an earlier tie).
-        return (strictly_closer | ties_before).sum(axis=1).astype(np.int64) + 1
-
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    threshold = min(threshold, rows.shape[1])
-    top = np.argpartition(rows, threshold - 1, axis=1)[:, :threshold]
-    top_values = np.take_along_axis(rows, top, axis=1)
-    order = np.lexsort((top, top_values), axis=-1)
-    top_sorted = np.take_along_axis(top, order, axis=1)
-    ranks = np.full(rows.shape[0], threshold + 1, dtype=np.int64)
-    hit_row, hit_position = np.nonzero(top_sorted == truth_cols[:, None])
-    ranks[hit_row] = hit_position + 1
-    return ranks
+    strictly_closer = rows < truth_values[:, None]
+    column_index = np.arange(rows.shape[1], dtype=np.int64)
+    ties_before = (rows == truth_values[:, None]) & (column_index[None, :] < truth_cols[:, None])
+    # The truth column matches neither mask (not < itself, not an earlier tie).
+    return (strictly_closer | ties_before).sum(axis=1).astype(np.int64) + 1
 
 
 def most_similar_search_report(distances: np.ndarray, ground_truth: dict[int, int]) -> dict[str, float]:

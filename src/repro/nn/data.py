@@ -95,8 +95,8 @@ def length_bucketed_indices(lengths: Sequence[int], batch_size: int) -> Iterator
     so batching length-neighbours keeps short sequences out of wide batches.
     The sort is stable, so equal-length items keep their relative order;
     callers scatter results back through the yielded index arrays
-    (``EmbeddingStore.build`` and the fine-tuning ``predict`` sweeps share
-    this helper).
+    (``Engine.encode`` and the fine-tuning ``predict`` sweeps share this
+    helper).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

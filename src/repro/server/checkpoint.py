@@ -55,10 +55,10 @@ class CheckpointInfo:
 class Checkpointer:
     """Writes and reads the checkpoint directory layout described above.
 
-    ``keep`` bounds disk usage: after a successful commit, snapshot
-    directories other than the ``keep`` most recent are deleted (the
-    manifest never points at a deleted one — pruning runs strictly after
-    the atomic manifest replace).
+    ``keep`` bounds disk usage: after a successful commit, ``gen_<N>``
+    snapshot directories other than the ``keep`` highest generations are
+    deleted (the manifest never points at a deleted one — pruning runs
+    strictly after the atomic manifest replace).
     """
 
     def __init__(self, directory: str | Path, *, keep: int = 2) -> None:
@@ -109,8 +109,14 @@ class Checkpointer:
         root = self.directory / _SNAPSHOT_ROOT
         if not root.exists():
             return
-        names = sorted(p.name for p in root.iterdir() if p.is_dir())
-        for name in names[: -self.keep] if len(names) > self.keep else []:
+        # Oldest first by generation number: as strings, gen_1000000 would
+        # sort before gen_999999.  Directories not named gen_<N> are left alone.
+        generations = sorted(
+            (int(p.name[4:]), p.name)
+            for p in root.iterdir()
+            if p.is_dir() and p.name.startswith("gen_") and p.name[4:].isdecimal()
+        )
+        for _, name in generations[: -self.keep]:
             if name != current:
                 shutil.rmtree(root / name, ignore_errors=True)
 

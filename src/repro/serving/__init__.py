@@ -1,8 +1,5 @@
-"""`repro.serving` — the representation-serving layer (facade internals).
+"""`repro.serving` — the exact scan kernels (facade internals).
 
-Turns a frozen encoder into a query-able similarity-search service:
-:class:`~repro.serving.store.EmbeddingStore` materialises representations
-once (length-bucketed batching, npz persistence) and
 :mod:`repro.serving.index` holds the scan kernels every index backend runs —
 chunked float32 distance computation with running-threshold partial
 selection (one ``argpartition`` on a query block's first chunk, then only
@@ -12,10 +9,10 @@ counting ranks, and the full-matrix reference top-k.
 one frozen matrix; it is the monolithic reference the bit-identity tests
 compare the backends against.
 
-Application code goes through the :class:`repro.api.Engine` facade, whose
-backends keep their rows in :class:`repro.streaming.shards.ShardedIndex`
-segments; the two classes here are importable from their submodules
-(:mod:`repro.serving.store`, :mod:`repro.serving.index`) only.
+Application code goes through the :class:`repro.api.Engine` facade, which
+bulk-encodes corpora, writes and reads snapshots, and keeps its rows in
+:class:`repro.streaming.shards.ShardedIndex` segments;
+``SimilarityIndex`` is importable from :mod:`repro.serving.index` only.
 """
 
 from repro.serving.index import (
@@ -24,13 +21,10 @@ from repro.serving.index import (
     SearchResult,
     pairwise_squared_euclidean,
 )
-from repro.serving.store import DEFAULT_ENCODE_BATCH, FORMAT_VERSION
 
 __all__ = [
     "DEFAULT_DATABASE_CHUNK",
-    "DEFAULT_ENCODE_BATCH",
     "DEFAULT_QUERY_CHUNK",
-    "FORMAT_VERSION",
     "SearchResult",
     "pairwise_squared_euclidean",
 ]

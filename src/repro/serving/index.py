@@ -384,8 +384,9 @@ class SimilarityIndex:
         if matrix is database and matrix.flags.writeable:
             # as_float32_matrix is a no-op for float32 C-contiguous input;
             # copy a still-writeable caller array so later mutation cannot
-            # desync the cached norms below.  Frozen matrices (EmbeddingStore
-            # vectors) are shared as-is — no double memory at serving scale.
+            # desync the cached norms below.  Frozen matrices (such as
+            # Engine.encode output) are shared as-is — no double memory at
+            # serving scale.
             matrix = matrix.copy()
         self._database = matrix
         self._database_norms = squared_norms(self._database)

@@ -37,6 +37,7 @@ from repro.api import (
     register_backend,
     unregister_backend,
 )
+from repro.api.engine import _snapshot_segments
 from backend_conformance import append_only_backend
 from repro.core import STARTModel, tiny_config
 from repro.roadnet import CityConfig, generate_city
@@ -53,6 +54,8 @@ from repro.trajectory import (
 #: A snapshot written by the retired pre-facade ``IngestService.snapshot``
 #: (see ``test_restore_reads_ingest_service_snapshots`` for its recipe).
 LEGACY_SNAPSHOT = Path(__file__).parent / "data" / "ingest_service_snapshot"
+#: Every snapshot segment's JSON metadata entry; part of the on-disk format.
+SEGMENT_META_KEY = "__embedding_store_meta__"
 
 
 @dataclass
@@ -157,6 +160,25 @@ class TestEngineServing:
         np.testing.assert_array_equal(vectors, linear_encode(corpus))
         assert vectors.dtype == np.float32
         assert not vectors.flags.writeable
+
+    def test_encode_batches_walk_the_length_order(self):
+        """Each batch pads to its own longest member."""
+        corpus = fake_corpus(37)
+        seen: list[list[int]] = []
+
+        def recording_encode(batch):
+            seen.append([len(t) for t in batch])
+            return linear_encode(batch)
+
+        Engine(recording_encode).encode(EncodeRequest(trajectories=corpus, batch_size=8))
+        lengths = [length for batch in seen for length in batch]
+        assert [len(batch) for batch in seen] == [8, 8, 8, 8, 5]
+        assert lengths == sorted(len(t) for t in corpus)
+
+    def test_encode_rejects_an_encoder_returning_the_wrong_row_count(self):
+        short = Engine(lambda batch: linear_encode(batch[:1]))
+        with pytest.raises(ValueError, match="encoder returned 1 rows for a batch of 2"):
+            short.encode(fake_corpus(2))
 
     def test_ingest_assigns_insertion_order_ids(self):
         engine = self.make_engine()
@@ -314,10 +336,122 @@ class TestEngineServing:
         replica = Engine.restore(mixed.snapshot(tmp_path / "mixed").path, linear_encode)
         np.testing.assert_array_equal(replica.trajectory_ids(np.arange(5)), [0, 1, 700, 3, 4])
         assert replica._trajectory_ids == {2: 700}
+        # The primary stores the same map, so a live replica copies only it.
+        assert mixed._trajectory_ids == {2: 700}
+        assert mixed.replicate()._trajectory_ids == {2: 700}
 
     def test_restore_rejects_non_snapshot_and_newer_formats(self, tmp_path):
         with pytest.raises(ValueError, match="not an Engine snapshot"):
             Engine.restore(tmp_path, linear_encode)
+
+    def test_snapshot_segment_files_round_trip(self, tmp_path):
+        """One npz per segment: ``vectors``, ``ids`` and a JSON metadata entry.
+        Reading gives float32/int64 arrays whatever dtypes the file holds, the
+        dead rows, and the alive rows' trajectory ids that differ from the
+        row id."""
+        engine = self.make_engine(shard_capacity=4)
+        ids = engine.ingest_vectors(
+            np.arange(18, dtype=np.float32).reshape(6, 3),
+            trajectory_ids=[None, 1, 700, None, 4, 900],
+        )
+        engine.remove(ids[[1, 5]])
+        directory = engine.snapshot(tmp_path / "snap").path
+        names = json.loads((directory / "manifest.json").read_text())["segments"]
+        assert names == ["segment_00000.npz", "segment_00001.npz"]
+        with np.load(directory / names[0]) as archive:
+            assert sorted(archive.files) == [SEGMENT_META_KEY, "ids", "vectors"]
+            arrays = {key: archive[key] for key in archive.files}
+        assert json.loads(arrays[SEGMENT_META_KEY].tobytes().decode()) == {
+            "format_version": 1,
+            "count": 4,
+            "dim": 3,
+            "metadata": {"deleted_ids": [1], "trajectory_ids": [0, 1, 700, 3]},
+        }
+        arrays["vectors"] = arrays["vectors"].astype(np.float64)
+        arrays["ids"] = arrays["ids"].astype(np.int32)
+        np.savez(directory / names[0], **arrays)
+
+        trajectory_ids: dict[int, int] = {}
+        segments = list(_snapshot_segments(directory, names, trajectory_ids))
+        assert [vectors.dtype for vectors, _, _ in segments] == [np.float32, np.float32]
+        assert [ids.dtype for _, ids, _ in segments] == [np.int64, np.int64]
+        np.testing.assert_array_equal(
+            np.concatenate([vectors for vectors, _, _ in segments]),
+            np.arange(18, dtype=np.float32).reshape(6, 3),
+        )
+        np.testing.assert_array_equal(np.concatenate([ids for _, ids, _ in segments]), ids)
+        assert [dead.tolist() for _, _, dead in segments] == [
+            [False, True, False, False],
+            [False, True],
+        ]
+        assert trajectory_ids == {2: 700}
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"format_version": 2}, "segment format v2"),
+            ({"count": 99}, "metadata does not match its arrays"),
+            ({"dim": 4}, "metadata does not match its arrays"),
+            (None, "not a snapshot segment"),
+        ],
+        ids=["newer-format", "count", "dim", "no-metadata"],
+    )
+    def test_restore_rejects_a_tampered_segment(self, tmp_path, changes, message):
+        """Each segment file carries its own metadata entry, checked on read."""
+        engine = self.make_engine()
+        engine.ingest(fake_corpus(3))
+        segment = engine.snapshot(tmp_path / "snap").path / "segment_00000.npz"
+        with np.load(segment) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(arrays.pop(SEGMENT_META_KEY).tobytes().decode())
+        if changes is not None:
+            blob = json.dumps({**meta, **changes}).encode()
+            arrays[SEGMENT_META_KEY] = np.frombuffer(blob, dtype=np.uint8)
+        np.savez(segment, **arrays)
+        with pytest.raises(ValueError, match=message):
+            Engine.restore(segment.parent, linear_encode)
+
+    @pytest.mark.parametrize("target", ["chunked", "append-only"])
+    def test_live_restore_under_another_config_replays_the_source(self, rng, target):
+        """A live source restored into another backend is replayed row by row:
+        the same answers bit for bit, trajectory ids and ``next_id``, and
+        nothing the source does afterwards reaches the restored engine.  The
+        ``chunked`` target keeps the tombstones at aligned geometry; the
+        append-only one drops the dead rows."""
+        geometry = dict(shard_capacity=8, query_chunk_size=4, database_chunk_size=4)
+        source = self.make_engine(**geometry)
+        ids = source.ingest_vectors(
+            rng.standard_normal((30, 5)).astype(np.float32),
+            trajectory_ids=[None if i % 3 == 0 else 1000 + i for i in range(30)],
+        )
+        source.remove(ids[[2, 9, 10, 17]])
+        queries = rng.standard_normal((6, 5)).astype(np.float32)
+        expected = source.query(QueryRequest(queries=queries, k=len(source)))
+        with append_only_backend() as append_only:
+            backend = append_only if target == "append-only" else target
+            restored = Engine.restore(
+                source, linear_encode, config=EngineConfig(backend=backend, **geometry)
+            )
+        assert restored.backend.name == backend and len(restored) == len(source) == 26
+        assert restored.backend.next_id == source.backend.next_id == 30
+        assert restored._trajectory_ids == source._trajectory_ids
+
+        def assert_answers_expected():
+            result = restored.backend.top_k(queries, len(restored))
+            np.testing.assert_array_equal(result.indices, expected.ids)
+            assert result.distances.tobytes() == expected.distances.tobytes()
+            np.testing.assert_array_equal(
+                restored.trajectory_ids(result.indices), expected.trajectory_ids
+            )
+
+        assert_answers_expected()
+        source.ingest_vectors(
+            rng.standard_normal((12, 5)).astype(np.float32), trajectory_ids=range(12)
+        )
+        source.remove(ids[[0, 1, 4, 5]])
+        assert source.compact()
+        assert_answers_expected()
+        assert restored.backend.next_id == 30
 
     def test_drain_encodes_each_record_once_and_never_touches_full_segments(self, tmp_path):
         encoded: list[int] = []

@@ -1,9 +1,10 @@
 """Tests for the package boundary.
 
-The pre-facade entry points are retired: ``EmbeddingStore`` /
-``SimilarityIndex`` / ``ShardedIndex`` are facade internals importable from
-their submodules only, and the old ingest service and its micro-batcher are
-gone.  Hand-wiring the internals still gives the facade's exact answers, and
+The pre-facade entry points are retired: ``SimilarityIndex`` /
+``ShardedIndex`` are facade internals importable from their submodules
+only, and the old ingest service, its micro-batcher and the embedding-store
+module are gone (the engine bulk-encodes and owns its snapshot files).
+Hand-wiring the internals still gives the facade's exact answers, and
 internal imports stay warning-free.
 
 Also covers the lazy top-level package: ``import repro`` is cheap and
@@ -49,7 +50,6 @@ class TestFacadeInternals:
     @pytest.mark.parametrize(
         "package, name, submodule",
         [
-            ("repro.serving", "EmbeddingStore", "repro.serving.store"),
             ("repro.serving", "SimilarityIndex", "repro.serving.index"),
             ("repro.streaming", "ShardedIndex", "repro.streaming.shards"),
         ],
@@ -78,28 +78,28 @@ class TestFacadeInternals:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.streaming.service")
 
+    def test_embedding_store_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.serving.store")
+
     def test_internal_submodule_imports_stay_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.serving.index import SimilarityIndex  # noqa: F401
-            from repro.serving.store import EmbeddingStore  # noqa: F401
             from repro.streaming.shards import ShardedIndex  # noqa: F401
             import repro.eval  # noqa: F401
             import repro.experiments  # noqa: F401
 
     def test_manual_wiring_matches_the_facade(self):
-        """Hand-wired store → index gives the ``chunked`` backend's answers."""
+        """Hand-wired encode → index gives the ``chunked`` backend's answers."""
         from repro.serving.index import SimilarityIndex
-        from repro.serving.store import EmbeddingStore
 
-        store = EmbeddingStore.build(linear_encode, CORPUS)
-        old_result = SimilarityIndex(store.vectors, database_chunk_size=8).topk(
-            store.vectors[:5], k=7
-        )
+        vectors = linear_encode(CORPUS)
+        old_result = SimilarityIndex(vectors, database_chunk_size=8).topk(vectors[:5], k=7)
 
         engine = Engine(linear_encode, EngineConfig(backend="chunked", database_chunk_size=8))
         engine.ingest(CORPUS)
-        new_result = engine.query(QueryRequest(queries=store.vectors[:5], k=7))
+        new_result = engine.query(QueryRequest(queries=vectors[:5], k=7))
 
         np.testing.assert_array_equal(old_result.indices, new_result.ids)
         assert (old_result.distances == new_result.distances).all()

@@ -42,7 +42,6 @@ from repro.server import (
     ServerConfig,
     ServingRuntime,
 )
-from repro.serving.store import EmbeddingStore
 from repro.streaming.reader import TrajectoryStreamReader
 from serving_runtime_kit import (
     DIM,
@@ -479,8 +478,8 @@ class TestGenerationConsistency:
         def no_file_io(*args, **kwargs):
             raise AssertionError("a publish read or wrote a snapshot file")
 
-        monkeypatch.setattr(EmbeddingStore, "save", no_file_io)
-        monkeypatch.setattr(EmbeddingStore, "load", no_file_io)
+        monkeypatch.setattr(Engine, "snapshot", no_file_io)
+        monkeypatch.setattr("repro.api.engine._snapshot_segments", no_file_io)
         engine = make_engine()
         seed_engine(engine, 12)
         replica_root = tmp_path / "replicas"
@@ -718,18 +717,27 @@ class TestCacheThreadSafety:
 # Checkpointing and crash-restart equivalence
 # ---------------------------------------------------------------------- #
 class TestCheckpointer:
-    def test_commit_is_atomic_and_pruned(self, tmp_path):
+    @pytest.mark.parametrize(
+        "generations, expected_kept",
+        [
+            ((1, 2, 3), ["gen_000002", "gen_000003"]),
+            # Seven-digit names sort before six-digit ones as strings.
+            ((999_999, 1_000_000, 1_000_001), ["gen_1000000", "gen_1000001"]),
+        ],
+        ids=["six-digit", "past-a-million"],
+    )
+    def test_commit_is_atomic_and_pruned(self, tmp_path, generations, expected_kept):
         engine = make_engine()
         seed_engine(engine, 8)
         checkpointer = Checkpointer(tmp_path, keep=2)
-        for generation in (1, 2, 3):
+        for generation in generations:
             info = checkpointer.save(engine, generation=generation)
             assert info.generation == generation
         assert not (tmp_path / "CHECKPOINT.json.tmp").exists()
         kept = sorted(p.name for p in (tmp_path / "snapshots").iterdir())
-        assert kept == ["gen_000002", "gen_000003"]
+        assert kept == expected_kept
         manifest = Checkpointer.load_manifest(tmp_path)
-        assert manifest["generation"] == 3 and manifest["rows"] == 8
+        assert manifest["generation"] == generations[-1] and manifest["rows"] == 8
 
     def test_missing_and_future_checkpoints_are_refused(self, tmp_path):
         assert Checkpointer.load_manifest(tmp_path) is None

@@ -1,4 +1,4 @@
-"""Tests for the serving layer: EmbeddingStore + SimilarityIndex.
+"""Tests for the serving layer's scan kernels, through SimilarityIndex.
 
 The contract under test is *exactness*: the chunked, partially-selected
 index must return the same neighbours and ranks as a brute-force float64
@@ -9,18 +9,11 @@ Also covers ``check_new_ids``, the explicit-id check behind every backend's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
-from repro.eval.similarity import (
-    euclidean_distance_matrix,
-    ranks_of_ground_truth,
-    top_k_indices,
-)
+from repro.eval.similarity import euclidean_distance_matrix, top_k_indices
 from repro.serving.index import SimilarityIndex, check_new_ids
-from repro.serving.store import FORMAT_VERSION, EmbeddingStore
 
 
 def brute_force_distances(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
@@ -33,25 +26,6 @@ def brute_force_distances(queries: np.ndarray, database: np.ndarray) -> np.ndarr
 
 def brute_force_topk(queries: np.ndarray, database: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(brute_force_distances(queries, database), axis=1, kind="stable")[:, :k]
-
-
-@dataclass
-class FakeTrajectory:
-    """Minimal stand-in: only ``__len__`` and ``trajectory_id`` are used."""
-
-    length: int
-    trajectory_id: int
-
-    def __len__(self) -> int:
-        return self.length
-
-
-def linear_encode(batch: list[FakeTrajectory]) -> np.ndarray:
-    """Deterministic per-trajectory embedding (independent of batching)."""
-    return np.array(
-        [[t.length, t.trajectory_id % 7, t.trajectory_id % 3] for t in batch],
-        dtype=np.float32,
-    )
 
 
 class TestSimilarityIndex:
@@ -136,103 +110,6 @@ class TestSimilarityIndex:
             index.ranks_of(rng.standard_normal((2, 4)), np.array([0, 10]))
 
 
-class TestEmbeddingStore:
-    def test_build_preserves_row_order_and_ids(self, rng):
-        trajectories = [
-            FakeTrajectory(length=int(rng.integers(3, 60)), trajectory_id=100 + i)
-            for i in range(25)
-        ]
-        store = EmbeddingStore.build(linear_encode, trajectories, batch_size=4)
-        np.testing.assert_array_equal(store.vectors, linear_encode(trajectories))
-        np.testing.assert_array_equal(store.ids, [t.trajectory_id for t in trajectories])
-
-    def test_build_batches_by_length(self, rng):
-        trajectories = [
-            FakeTrajectory(length=int(rng.integers(3, 200)), trajectory_id=i) for i in range(40)
-        ]
-        seen_batches: list[list[int]] = []
-
-        def recording_encode(batch):
-            seen_batches.append([len(t) for t in batch])
-            return linear_encode(batch)
-
-        EmbeddingStore.build(recording_encode, trajectories, batch_size=8)
-        flattened = [length for batch in seen_batches for length in batch]
-        assert flattened == sorted(flattened)  # batches walk the length order
-
-    def test_build_rejects_empty_and_bad_batches(self):
-        with pytest.raises(ValueError):
-            EmbeddingStore.build(linear_encode, [])
-        with pytest.raises(ValueError):
-            EmbeddingStore.build(
-                lambda batch: np.zeros((1, 3), dtype=np.float32),
-                [FakeTrajectory(3, 0), FakeTrajectory(4, 1)],
-            )
-
-    def test_save_load_round_trip(self, rng, tmp_path):
-        store = EmbeddingStore(
-            rng.standard_normal((12, 5)).astype(np.float32),
-            ids=np.arange(100, 112),
-            metadata={"model": "START", "epoch": 5},
-        )
-        path = store.save(tmp_path / "embeddings.npz")
-        loaded = EmbeddingStore.load(path)
-        np.testing.assert_array_equal(loaded.vectors, store.vectors)
-        np.testing.assert_array_equal(loaded.ids, store.ids)
-        assert loaded.metadata == {"model": "START", "epoch": 5}
-        assert loaded.vectors.dtype == np.float32
-
-    def test_load_refuses_future_format(self, rng, tmp_path):
-        store = EmbeddingStore(rng.standard_normal((3, 2)).astype(np.float32))
-        path = store.save(tmp_path / "future.npz")
-        import json
-
-        with np.load(path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        meta = json.loads(bytes(arrays["__embedding_store_meta__"].tobytes()).decode())
-        meta["format_version"] = FORMAT_VERSION + 1
-        arrays["__embedding_store_meta__"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
-        )
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="format"):
-            EmbeddingStore.load(path)
-
-    def test_empty_store_round_trip(self, tmp_path):
-        store = EmbeddingStore(np.empty((0, 5), dtype=np.float32), metadata={"note": "empty"})
-        assert len(store) == 0 and store.dim == 5
-        loaded = EmbeddingStore.load(store.save(tmp_path / "empty.npz"))
-        assert len(loaded) == 0
-        assert loaded.dim == 5
-        assert loaded.metadata == {"note": "empty"}
-        assert loaded.ids.shape == (0,)
-
-    def test_load_rejects_mismatched_metadata(self, rng, tmp_path):
-        """A version tag whose count/dim disagree with the arrays is refused."""
-        store = EmbeddingStore(rng.standard_normal((4, 3)).astype(np.float32))
-        path = store.save(tmp_path / "tampered.npz")
-        import json
-
-        with np.load(path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        meta = json.loads(bytes(arrays["__embedding_store_meta__"].tobytes()).decode())
-        meta["count"] = 99  # tag no longer matches the vectors array
-        arrays["__embedding_store_meta__"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
-        )
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="metadata"):
-            EmbeddingStore.load(path)
-
-    def test_store_to_index_end_to_end(self, rng):
-        vectors = rng.standard_normal((80, 6)).astype(np.float32)
-        store = EmbeddingStore(vectors)
-        index = SimilarityIndex(store.vectors, database_chunk_size=16)
-        result = index.topk(vectors[:10], 3)
-        # Each vector's own row is its nearest neighbour at distance ~0.
-        np.testing.assert_array_equal(result.indices[:, 0], np.arange(10))
-
-
 class TestCheckNewIds:
     def test_returns_int64_ids_in_input_order(self):
         ids = check_new_ids([7, 3, 5], 3, present={1, 2})
@@ -273,15 +150,6 @@ class TestEvalHelpers:
         chunked = euclidean_distance_matrix(queries, database, chunk_size=10)
         assert chunked.dtype == np.float32
         np.testing.assert_allclose(chunked, brute_force_distances(queries, database), atol=1e-4)
-
-    def test_ranks_of_ground_truth_threshold(self, rng):
-        distances = rng.standard_normal((20, 50)) ** 2
-        ground_truth = {i: int(rng.integers(0, 50)) for i in range(20)}
-        exact = ranks_of_ground_truth(distances, ground_truth)
-        capped = ranks_of_ground_truth(distances, ground_truth, threshold=5)
-        np.testing.assert_array_equal(capped, np.where(exact <= 5, exact, 6))
-        with pytest.raises(ValueError):
-            ranks_of_ground_truth(distances, ground_truth, threshold=0)
 
     def test_top_k_indices_matches_bruteforce(self, rng):
         distances = rng.standard_normal((15, 40)) ** 2
