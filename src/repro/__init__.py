@@ -38,8 +38,8 @@ Sub-packages
     Concurrent serving runtime: batch aggregation, replica query workers,
     background stream ingest, checkpoint/restart.
 ``repro.obs``
-    Observability: metrics registry (counters/gauges/histograms), SLO
-    snapshots, optional process CPU/RSS monitor.
+    Observability: metrics registry (counters/gauges/histograms) and SLO
+    snapshots.
 ``repro.eval``
     Metrics and downstream-task evaluation harnesses.
 ``repro.experiments``

@@ -235,9 +235,12 @@ class Engine:
 
         The transfer-probability matrix is derived from the dataset's
         training split, exactly as :meth:`STARTModel.from_dataset` does.
+        The model starts in eval mode, as after :meth:`load` and
+        :meth:`pretrain`, so encodes reuse its cached road table.
         """
         config = config or EngineConfig()
         model = STARTModel.from_dataset(dataset, config.start)
+        model.eval()
         return cls(model, config)
 
     def pretrain(self, trajectories: list, epochs: int | None = None, verbose: bool = False):

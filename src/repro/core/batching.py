@@ -16,7 +16,13 @@ import numpy as np
 from repro.core import tokens as tok
 from repro.core.interval import raw_interval_matrix
 from repro.trajectory.augmentation import AugmentedView
-from repro.trajectory.types import Trajectory, day_of_week, minute_of_day
+from repro.trajectory.types import (
+    Trajectory,
+    days_of_week,
+    minutes_of_day,
+    timestamps_in_range,
+    whole_seconds,
+)
 from repro.utils.seeding import get_rng
 
 
@@ -88,57 +94,94 @@ class BatchBuilder:
         limit = self.max_length - 1  # reserve one position for [CLS]
         return roads[:limit], timestamps[:limit]
 
-    def _allocate(self, batch: int, width: int) -> dict[str, np.ndarray]:
-        return {
-            "tokens": np.full((batch, width), tok.PAD_TOKEN, dtype=np.int64),
-            "minutes": np.full((batch, width), tok.MINUTE_PAD, dtype=np.int64),
-            "days": np.full((batch, width), tok.DAY_PAD, dtype=np.int64),
-            "times": np.zeros((batch, width), dtype=np.float64),
-            "padding": np.ones((batch, width), dtype=bool),
-            "labels": np.full((batch, width), tok.IGNORE_LABEL, dtype=np.int64),
-            "lengths": np.zeros(batch, dtype=np.int64),
-        }
+    def _points(
+        self, rows: list[tuple[list[int], list[float]]], departure_only: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every row flattened with its ``[CLS]`` slot first (departure time).
 
-    def _fill_row(
+        Returns the row lengths and the flat road ids, timestamps and whole
+        seconds.  Raises ``ValueError`` naming the batch row of the first
+        road id outside ``[0, num_roads)`` or timestamp
+        :func:`~repro.trajectory.types.whole_seconds` refuses.
+        """
+        road_values: list = []
+        time_values: list = []
+        for roads, times in rows:
+            departure = times[0] if times else 0.0
+            road_values.append(0)  # the [CLS] slot: any valid id, overwritten in _fill
+            road_values.extend(roads)
+            time_values.append(departure)
+            time_values.extend([departure] * len(times) if departure_only else times)
+        lengths = np.array([len(roads) + 1 for roads, _ in rows], dtype=np.int64)
+
+        road_ids = np.array(road_values, dtype=np.int64)
+        out_of_range = road_ids.view(np.uint64) >= self.num_roads  # negatives wrap high
+        if out_of_range.any():
+            index = int(np.argmax(out_of_range))
+            raise ValueError(
+                f"batch row {_row_of(lengths, index)}: road id {road_ids[index]} "
+                f"is outside [0, {self.num_roads})"
+            )
+        timestamps = np.array(time_values, dtype=np.float64)
+        try:
+            seconds = whole_seconds(timestamps)
+        except ValueError as error:
+            index = int(np.argmax(~timestamps_in_range(timestamps)))
+            raise ValueError(f"batch row {_row_of(lengths, index)}: {error}") from None
+        return lengths, road_ids, timestamps, seconds
+
+    def _fill(
         self,
-        arrays: dict[str, np.ndarray],
-        row: int,
-        roads: list[int],
-        timestamps: list[float],
-        mask_positions: list[int] | None,
+        rows: list[tuple[list[int], list[float]]],
+        mask_positions: list | None,
         add_labels: bool,
         time_mode: str,
-    ) -> None:
-        """Populate one row; ``mask_positions`` are indices into ``roads``."""
-        length = len(roads) + 1  # plus [CLS]
-        arrays["lengths"][row] = length
-        arrays["padding"][row, :length] = False
-        departure = timestamps[0] if timestamps else 0.0
+    ) -> dict[str, np.ndarray]:
+        """Fill every padded array of the batch at once.
 
-        arrays["tokens"][row, 0] = tok.CLS_TOKEN
-        arrays["times"][row, 0] = departure
-        arrays["minutes"][row, 0] = minute_of_day(departure)
-        arrays["days"][row, 0] = day_of_week(departure)
+        The flat points of :meth:`_points` are scattered into the ``(B, W)``
+        arrays by one masked assignment through ``arange(W) < lengths[:, None]``.
+        ``mask_positions[row]`` indexes that row's roads; positions outside
+        the truncated row are ignored and duplicates collapse.
+        """
+        lengths, road_ids, timestamps, seconds = self._points(
+            rows, departure_only=time_mode == "departure_only"
+        )
+        batch, width = len(rows), int(lengths.max())
+        valid = np.arange(width) < lengths[:, None]
 
-        mask_set = set(mask_positions or [])
-        for position, (road, timestamp) in enumerate(zip(roads, timestamps)):
-            column = position + 1
-            if time_mode == "departure_only":
-                arrays["times"][row, column] = departure
-                arrays["minutes"][row, column] = minute_of_day(departure)
-                arrays["days"][row, column] = day_of_week(departure)
-            else:
-                arrays["times"][row, column] = timestamp
-                arrays["minutes"][row, column] = minute_of_day(timestamp)
-                arrays["days"][row, column] = day_of_week(timestamp)
-            if position in mask_set:
-                arrays["tokens"][row, column] = tok.MASK_TOKEN
-                arrays["minutes"][row, column] = tok.MINUTE_MASK
-                arrays["days"][row, column] = tok.DAY_MASK
-                if add_labels:
-                    arrays["labels"][row, column] = road
-            else:
-                arrays["tokens"][row, column] = tok.road_to_token(road)
+        tokens = np.full((batch, width), tok.PAD_TOKEN, dtype=np.int64)
+        tokens[valid] = road_ids + tok.NUM_SPECIAL_TOKENS
+        tokens[:, 0] = tok.CLS_TOKEN
+        minutes = np.full((batch, width), tok.MINUTE_PAD, dtype=np.int64)
+        minutes[valid] = minutes_of_day(seconds)
+        days = np.full((batch, width), tok.DAY_PAD, dtype=np.int64)
+        days[valid] = days_of_week(seconds)
+        times = np.zeros((batch, width), dtype=np.float64)
+        times[valid] = timestamps
+        labels = np.full((batch, width), tok.IGNORE_LABEL, dtype=np.int64)
+
+        if mask_positions is not None:
+            mask_rows = np.repeat(np.arange(batch), [len(p) for p in mask_positions])
+            flat_positions = [p for positions in mask_positions for p in positions]
+            columns = np.array(flat_positions, dtype=np.int64) + 1
+            keep = (columns >= 1) & (columns < lengths[mask_rows])
+            masked = np.zeros((batch, width), dtype=bool)
+            masked[mask_rows[keep], columns[keep]] = True
+            if add_labels:
+                labels[masked] = tokens[masked] - tok.NUM_SPECIAL_TOKENS
+            tokens[masked] = tok.MASK_TOKEN
+            minutes[masked] = tok.MINUTE_MASK
+            days[masked] = tok.DAY_MASK
+        return {
+            "tokens": tokens,
+            "minutes": minutes,
+            "days": days,
+            "times": times,
+            "padding": ~valid,
+            "labels": labels,
+            "lengths": lengths,
+        }
 
     def _finalize(
         self,
@@ -194,32 +237,39 @@ class BatchBuilder:
         """
         if time_mode not in ("full", "departure_only"):
             raise ValueError("time_mode must be 'full' or 'departure_only'")
-        prepared = [self._truncate(t.roads, t.timestamps) for t in trajectories]
-        width = max(len(roads) for roads, _ in prepared) + 1
-        arrays = self._allocate(len(trajectories), width)
-        for row, (roads, times) in enumerate(prepared):
-            mask_positions = None
-            if span_mask:
-                mask_positions = _span_mask_positions(
-                    len(roads), self.mask_ratio, self.mask_length, self._rng
-                )
-            self._fill_row(
-                arrays, row, roads, times, mask_positions, add_labels=span_mask, time_mode=time_mode
-            )
+        rows = [self._truncate(t.roads, t.timestamps) for t in trajectories]
+        mask_positions = None
+        if span_mask:
+            mask_positions = [
+                _span_mask_positions(len(roads), self.mask_ratio, self.mask_length, self._rng)
+                for roads, _ in rows
+            ]
+        arrays = self._fill(rows, mask_positions, add_labels=span_mask, time_mode=time_mode)
         return self._finalize(arrays, trajectories, False, label_kind)
+
+    def check(self, trajectories: list[Trajectory]) -> None:
+        """Raise the ``ValueError`` :meth:`build` raises for ``trajectories``.
+
+        That is, name the batch row of the first road id outside
+        ``[0, num_roads)`` or unusable timestamp within the truncated length;
+        return ``None`` when :meth:`build` would take them all.
+        """
+        rows = [self._truncate(t.roads, t.timestamps) for t in trajectories]
+        self._points(rows, departure_only=False)
 
     def build_from_views(self, views: list[AugmentedView]) -> TrajectoryBatch:
         """Build a batch from augmented views (contrastive learning)."""
-        prepared = [self._truncate(v.roads, v.timestamps) for v in views]
-        width = max(len(roads) for roads, _ in prepared) + 1
-        arrays = self._allocate(len(views), width)
+        rows = [self._truncate(v.roads, v.timestamps) for v in views]
         any_dropout = any(v.use_embedding_dropout for v in views)
-        for row, ((roads, times), view) in enumerate(zip(prepared, views)):
-            mask_positions = [p for p in view.mask_positions if p < len(roads)]
-            self._fill_row(
-                arrays, row, roads, times, mask_positions, add_labels=False, time_mode="full"
-            )
+        arrays = self._fill(
+            rows, [v.mask_positions for v in views], add_labels=False, time_mode="full"
+        )
         return self._finalize(arrays, None, any_dropout, "occupied")
+
+
+def _row_of(lengths: np.ndarray, index: int) -> int:
+    """The batch row holding entry ``index`` of a flattened batch."""
+    return int(np.searchsorted(np.cumsum(lengths), index, side="right"))
 
 
 def _class_label(trajectory: Trajectory, label_kind: str) -> int:

@@ -249,7 +249,8 @@ class STARTModel(Module):
         batch_size = batch_size or self.config.batch_size
         builder = self.make_builder()
         was_training = self.training
-        self.eval()
+        if was_training:  # eval() walks the whole module tree
+            self.eval()
         outputs: list[np.ndarray] = []
         with no_grad():
             table = self._token_table()  # one stage-one sweep for all batches

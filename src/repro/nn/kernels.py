@@ -18,7 +18,10 @@ what NumPy lets us fuse:
 
 The kernel-equivalence tests in ``tests/test_nn_kernels.py`` pin these
 implementations to the autograd path (and to the seed per-step reference)
-within ``rtol=1e-5``.
+within ``rtol=1e-5``.  ``softmax``, ``layer_norm`` and ``fused_attention``
+work in place where that keeps every float operation and its order, and
+``tests/test_bulk_encode_exact.py`` pins them bit for bit to their
+out-of-place versions in ``tests/bulk_encode_reference.py``.
 """
 
 from __future__ import annotations
@@ -41,11 +44,56 @@ def layer_norm(
     mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
     variance = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(variance + eps) * gamma + beta
+    centered /= np.sqrt(variance + eps)
+    if centered.dtype != np.result_type(centered, gamma, beta):
+        return centered * gamma + beta  # wider weights promote, as out of place
+    centered *= gamma
+    centered += beta
+    return centered
+
+
+#: Below this many rows NumPy's own per-row max is faster than transposing:
+#: on one trip's ``(1, 4, L, L)`` scores it won at 28-96 rows (bar a tie at
+#: 64) and lost at 104-128 rows, and every ``(16, 4, L, L)`` batch (448+
+#: rows) reduced 2-5x faster transposed.
+_TRANSPOSE_MIN_ROWS = 100
+#: Elements per transposed block (128 KiB of float32), so a block stays in cache.
+_TRANSPOSE_BLOCK = 1 << 15
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` at array speed, for :func:`softmax`.
+
+    NumPy reduces a short trailing axis one row at a time.  Here the rows
+    are transposed block by block instead, so the max reduces a contiguous
+    leading axis with whole-block ``maximum`` calls; a max is exact in any
+    order, except that the sign of a zero max may differ (``+0 == -0``, so
+    which zero ``maximum`` keeps depends on the order).  ``softmax`` is
+    unaffected: ``x - (+0)`` and ``x - (-0)`` differ only on zeros, and
+    ``exp`` maps both zeros to 1.  Rows holding a NaN are reduced again the
+    reference way, so the NaN they carry is the one ``x.max`` picks.
+    """
+    width = x.shape[-1]
+    rows = x.size // width if width else 0
+    if rows < _TRANSPOSE_MIN_ROWS:
+        return x.max(axis=-1, keepdims=True)
+    flat = x.reshape(rows, width)
+    out = np.empty(rows, dtype=x.dtype)
+    step = max(_TRANSPOSE_BLOCK // width, 1)
+    for start in range(0, rows, step):
+        block = np.ascontiguousarray(flat[start : start + step].T)
+        np.maximum.reduce(block, axis=0, out=out[start : start + step])
+    nan_rows = np.isnan(out)
+    if nan_rows.any():
+        out[nan_rows] = flat[nan_rows].max(axis=-1)
+    return out.reshape(x.shape[:-1] + (1,))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
+    if axis in (-1, x.ndim - 1):
+        shifted = x - _row_max(x)
+    else:
+        shifted = x - x.max(axis=axis, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
     return shifted
@@ -76,12 +124,15 @@ def fused_attention(
     query, key, value = qkv[0], qkv[1], qkv[2]
 
     query = query * np.float32(1.0 / np.sqrt(d_head))
-    scores = query @ key.transpose(0, 1, 3, 2)  # (B, heads, L, L)
+    scores = query @ key.transpose(0, 1, 3, 2)  # (B, heads, L, L), a fresh array
     if attention_bias is not None:
-        scores = scores + attention_bias
+        if attention_bias.dtype == scores.dtype:
+            scores += attention_bias
+        else:
+            scores = scores + attention_bias  # a float64 bias promotes the scores
     if key_padding_mask is not None:
         mask = np.asarray(key_padding_mask, dtype=bool)
-        scores = np.where(mask[:, None, None, :], np.float32(NEG_INF), scores)
+        np.copyto(scores, np.float32(NEG_INF), where=mask[:, None, None, :])
 
     weights = softmax(scores, axis=-1)
     context = weights @ value  # (B, heads, L, d_head)

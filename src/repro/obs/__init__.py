@@ -1,4 +1,4 @@
-"""Observability for the serving stack: metrics, SLO snapshots, monitoring.
+"""Observability for the serving stack: metrics and SLO snapshots.
 
 Public surface:
 
@@ -11,8 +11,6 @@ Public surface:
 * :data:`~repro.obs.metrics.NULL_REGISTRY` /
   :class:`~repro.obs.metrics.NullRegistry` — the disabled default every
   instrumented constructor falls back to (no-op instruments, zero cost).
-* :class:`~repro.obs.monitor.SystemMonitor` — optional background CPU/RSS
-  sampling through an injectable sampler and clock.
 * :func:`~repro.obs.metrics.dump_metrics` — atomic JSON snapshot writer;
   :func:`~repro.obs.metrics.format_snapshot` — human-readable rendering.
 
@@ -37,12 +35,10 @@ from repro.obs.metrics import (
     dump_metrics,
     format_snapshot,
 )
-from repro.obs.monitor import DEFAULT_SAMPLE_INTERVAL, SystemMonitor, default_process_sampler
 
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_SAMPLE_INTERVAL",
     "DEFAULT_SIZE_BUCKETS",
     "Gauge",
     "Histogram",
@@ -52,8 +48,6 @@ __all__ = [
     "NullRegistry",
     "SNAPSHOT_SCHEMA",
     "SNAPSHOT_SCHEMA_VERSION",
-    "SystemMonitor",
-    "default_process_sampler",
     "dump_metrics",
     "format_snapshot",
 ]

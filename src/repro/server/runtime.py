@@ -189,6 +189,12 @@ class ServingRuntime:
         self._publishes_since_checkpoint = 0
         self._ingested_records = 0
         self._ingested_waves = 0
+        self._rejected_records = 0
+        # Records are vetted where they enter, by the encoder's own batch
+        # builder when it has one: a record it refuses never reaches the
+        # ingest thread, whose encode would otherwise raise on it.
+        make_builder = getattr(engine.model, "make_builder", None)
+        self._record_builder = make_builder() if make_builder is not None else None
         self._checkpointer = (
             Checkpointer(self.config.checkpoint_dir)
             if self.config.checkpoint_dir is not None
@@ -254,6 +260,9 @@ class ServingRuntime:
         )
         self._m_stream_bytes = registry.counter(
             "server_stream_bytes_total", "stream bytes consumed"
+        )
+        self._m_rejected_records = registry.counter(
+            "server_rejected_records_total", "stream records the encoder refuses, dropped"
         )
         self._m_lag_records = registry.gauge(
             "server_ingest_lag_records", "records accepted but not yet ingested"
@@ -397,6 +406,7 @@ class ServingRuntime:
                 "generation": self.generation,
                 "ingested_records": self._ingested_records,
                 "ingested_waves": self._ingested_waves,
+                "rejected_records": self._rejected_records,
                 "closed": self._closed,
             }
         return snapshot
@@ -593,8 +603,14 @@ class ServingRuntime:
         return reader
 
     def submit_ingest(self, trajectories: Sequence[Trajectory]) -> int:
-        """Queue one wave for the background ingest thread; returns its size."""
+        """Queue one wave for the background ingest thread; returns its size.
+
+        Raises ``ValueError``, queueing nothing, when the encoder would
+        refuse a record of the wave (a road id outside the network, or a
+        timestamp the time features cannot take).
+        """
         wave = list(trajectories)
+        self._check_records(wave)
         with self._ingest_lock:
             self._check_accepting_ingest_locked()
             if wave:
@@ -605,14 +621,43 @@ class ServingRuntime:
         return len(wave)
 
     def ingest(self, trajectories: Iterable[Trajectory]) -> int:
-        """Synchronous ingest of one wave into the primary (publishes if due)."""
+        """Synchronous ingest of one wave into the primary (publishes if due).
+
+        Refuses a wave as :meth:`submit_ingest` does.
+        """
         wave = list(trajectories)
+        self._check_records(wave)
         with self._ingest_lock:
             self._check_accepting_ingest_locked()
             if wave:
                 self._ingest_wave_locked(wave)
                 self._maybe_publish_locked()
         return len(wave)
+
+    def _check_records(self, records: list[Trajectory]) -> None:
+        """Raise the encoder's ``ValueError`` for the first record it refuses."""
+        if self._record_builder is not None and records:
+            self._record_builder.check(records)
+
+    def _admit_stream_records_locked(self, records: list[Trajectory]) -> list[Trajectory]:
+        """``records`` without those the encoder refuses, each counted.
+
+        Dropping them where they are read keeps replay deterministic: a
+        restored reader re-reads a refused record and drops it again.
+        """
+        try:
+            self._check_records(records)  # one pass when every record is fine
+        except ValueError:
+            admitted = []
+            for record in records:
+                try:
+                    self._check_records([record])
+                    admitted.append(record)
+                except ValueError:
+                    self._rejected_records += 1
+                    self._m_rejected_records.inc()
+            return admitted
+        return records
 
     def _check_accepting_ingest_locked(self) -> None:
         # Checked under _ingest_lock, in one section with the caller's append
@@ -700,9 +745,12 @@ class ServingRuntime:
                 # reader position *before* any buffered records.
                 self._stream_base_state = self._reader.state
             need = group_size - len(self._stream_buffer)
-            self._stream_buffer.extend(self._reader.poll(max_records=need))
+            polled = self._reader.poll(max_records=need)
+            self._stream_buffer.extend(self._admit_stream_records_locked(polled))
             if len(self._stream_buffer) < group_size:
-                return ingested
+                if len(polled) < need:  # the stream is drained for now
+                    return ingested
+                continue  # records were dropped: read on to fill the group
             group, self._stream_buffer = self._stream_buffer, []
             self._ingest_group_locked(group)
             ingested += len(group)

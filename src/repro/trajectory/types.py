@@ -28,6 +28,11 @@ SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 REFERENCE_EPOCH = int(datetime(2023, 5, 1, tzinfo=timezone.utc).timestamp())
 
 
+#: Whole UTC seconds ``datetime`` can represent: 0001-01-01 .. 9999-12-31.
+FIRST_SECOND = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+LAST_SECOND = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
+
+
 def minute_of_day(timestamp: float) -> int:
     """Minute index within the day, 1-based (1..1440) as in the paper."""
     seconds_into_day = int(timestamp) % SECONDS_PER_DAY
@@ -37,6 +42,42 @@ def minute_of_day(timestamp: float) -> int:
 def day_of_week(timestamp: float) -> int:
     """Day-of-week index, 1-based (1=Monday .. 7=Sunday)."""
     return int(datetime.fromtimestamp(int(timestamp), tz=timezone.utc).isoweekday())
+
+
+def timestamps_in_range(timestamps: np.ndarray) -> np.ndarray:
+    """Element-wise: does :func:`day_of_week` accept this timestamp?
+
+    False for NaN, +-inf and anything that truncates outside ``datetime``'s
+    years 1..9999 -- the values :func:`whole_seconds` refuses.
+    """
+    return (timestamps > FIRST_SECOND - 1) & (timestamps < LAST_SECOND + 1)
+
+
+def whole_seconds(timestamps) -> np.ndarray:
+    """int64 seconds truncated toward zero, exactly as ``int(timestamp)``.
+
+    Raises ``ValueError`` for a timestamp the scalar helpers reject
+    (see :func:`timestamps_in_range`).
+    """
+    times = np.asarray(timestamps, dtype=np.float64)
+    valid = timestamps_in_range(times)
+    if not valid.all():
+        bad = float(times[~valid].flat[0])
+        raise ValueError(f"timestamp {bad!r} is non-finite or outside datetime's years 1-9999")
+    return times.astype(np.int64)
+
+
+def minutes_of_day(seconds: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`minute_of_day` over :func:`whole_seconds` output."""
+    return seconds % SECONDS_PER_DAY // 60 + 1
+
+
+def days_of_week(seconds: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`day_of_week` over :func:`whole_seconds` output.
+
+    Integer arithmetic on UTC days: 1970-01-01 was a Thursday (day 4).
+    """
+    return (seconds // SECONDS_PER_DAY + 3) % 7 + 1
 
 
 def is_weekend(timestamp: float) -> bool:
@@ -149,11 +190,11 @@ class Trajectory:
 
     def minute_indices(self) -> np.ndarray:
         """Per-road minute-of-day indices (1..1440)."""
-        return np.array([minute_of_day(t) for t in self.timestamps], dtype=np.int64)
+        return minutes_of_day(whole_seconds(self.timestamps))
 
     def day_indices(self) -> np.ndarray:
         """Per-road day-of-week indices (1..7)."""
-        return np.array([day_of_week(t) for t in self.timestamps], dtype=np.int64)
+        return days_of_week(whole_seconds(self.timestamps))
 
     def time_intervals(self) -> np.ndarray:
         """``(n, n)`` matrix of absolute time differences |t_i - t_j| in seconds."""

@@ -697,6 +697,27 @@ class TestEngineModelLifecycle:
         with pytest.raises(ValueError, match="cannot\\s+rebuild"):
             Engine.load(path, dataset)
 
+    def test_from_dataset_model_sweeps_the_road_table_once(self, dataset, monkeypatch):
+        """A fresh engine's model is in eval mode, so its road table is cached
+        across encodes instead of re-running TPE-GAT for every batch."""
+        from repro.core.tpe_gat import TPEGAT
+
+        calls = []
+        forward = TPEGAT.forward
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(TPEGAT, "forward", counted)
+        engine = Engine.from_dataset(dataset, EngineConfig(start=tiny_config(batch_size=16)))
+        trips = (list(dataset.trajectories) * 2)[:130]  # three 64-trip batches per encode
+        first = engine.encode(trips)
+        second = engine.encode(trips)
+        assert len(calls) == 1
+        assert not engine.model.training
+        assert first.tobytes() == second.tobytes()
+
     def test_pretrain_resets_index(self, dataset):
         config = EngineConfig(start=tiny_config(pretrain_epochs=1, batch_size=16))
         engine = Engine.from_dataset(dataset, config)

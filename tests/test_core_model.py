@@ -222,6 +222,53 @@ class TestBatchBuilder:
         assert set(occupied.tolist()).issubset({0, 1})
         assert (driver == [t.user_id for t in dataset.trajectories[:4]]).all()
 
+    @pytest.mark.parametrize("road", [-1, -4, "V"])
+    def test_out_of_range_road_ids_are_rejected(self, network, dataset, road):
+        bad_road = network.num_roads if road == "V" else road
+        good, bad = dataset.trajectories[0], dataset.trajectories[1].copy()
+        bad.roads[2] = bad_road
+        builder = BatchBuilder(network.num_roads)
+        with pytest.raises(ValueError, match=rf"batch row 1: road id {bad_road} is outside"):
+            builder.build([good, bad])
+        with pytest.raises(ValueError, match="batch row 1"):
+            builder.build([good, bad], span_mask=True)  # masked or not, it is refused
+        with pytest.raises(ValueError, match=rf"batch row 1: road id {bad_road} is outside"):
+            builder.check([good, bad])
+        assert builder.check([good]) is None
+
+    def test_last_road_id_is_accepted(self, network, dataset):
+        trajectory = dataset.trajectories[0].copy()
+        trajectory.roads[0] = network.num_roads - 1
+        batch = BatchBuilder(network.num_roads).build([trajectory])
+        assert batch.tokens[0, 1] == road_to_token(network.num_roads - 1)
+
+    @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamps_are_rejected(self, network, dataset, timestamp):
+        good, bad = dataset.trajectories[0], dataset.trajectories[1].copy()
+        bad.timestamps[1] = timestamp
+        builder = BatchBuilder(network.num_roads)
+        for refuse in (builder.build, builder.check):
+            with pytest.raises(ValueError, match=rf"batch row 1: timestamp {timestamp!r}"):
+                refuse([good, bad])
+
+    def test_timestamps_outside_datetime_years_are_rejected(self, network, dataset):
+        from repro.trajectory.types import FIRST_SECOND, LAST_SECOND
+
+        builder = BatchBuilder(network.num_roads)
+        for timestamp, accepted in (
+            (FIRST_SECOND - 0.5, True),
+            (FIRST_SECOND - 1, False),
+            (LAST_SECOND + 0.5, True),
+            (LAST_SECOND + 1, False),
+        ):
+            trajectory = dataset.trajectories[0].copy()
+            trajectory.timestamps[0] = timestamp
+            if accepted:
+                builder.build([trajectory])
+            else:
+                with pytest.raises(ValueError, match="batch row 0: timestamp"):
+                    builder.build([trajectory])
+
     def test_build_from_views_marks_masks(self, network, dataset):
         from repro.trajectory import TrajectoryAugmenter
 

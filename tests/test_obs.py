@@ -1,4 +1,4 @@
-"""Tests for ``repro.obs`` — the metrics registry, monitor, and snapshots.
+"""Tests for ``repro.obs`` — the metrics registry and snapshots.
 
 The acceptance pins:
 
@@ -8,8 +8,6 @@ The acceptance pins:
 * histogram bucketing is deterministic at the edges (exact bound, below the
   first bound, above the last bound);
 * registration is get-or-create with "one name, one meaning" conflicts;
-* the :class:`~repro.obs.SystemMonitor` lifecycle is driven entirely by a
-  :class:`~repro.utils.clock.VirtualClock` — no real sleeps;
 * snapshots are deterministic, versioned, and atomically dumpable;
 * the :class:`~repro.api.Engine` integration records cache hits/misses,
   encode batch sizes, and per-backend query latency into a bound registry.
@@ -35,12 +33,9 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    SystemMonitor,
-    default_process_sampler,
     dump_metrics,
     format_snapshot,
 )
-from repro.utils.clock import VirtualClock
 from serving_runtime_kit import make_engine, make_trajectory, probe_queries, seed_engine
 
 
@@ -271,74 +266,6 @@ class TestRegistryThreadSafety:
         for thread in threads:
             thread.join()
         assert len(set(resolved)) == 1
-
-
-# ---------------------------------------------------------------------- #
-# SystemMonitor
-# ---------------------------------------------------------------------- #
-class TestSystemMonitor:
-    def test_lifecycle_under_virtual_clock(self):
-        clock = VirtualClock()
-        registry = MetricsRegistry()
-        sample_taken = threading.Event()
-        readings: list[float] = []
-
-        def sampler() -> tuple[float, float]:
-            readings.append(clock.monotonic())
-            sample_taken.set()
-            return float(len(readings)), 1000.0 * len(readings)
-
-        monitor = SystemMonitor(registry, interval=2.0, sampler=sampler, clock=clock)
-        monitor.start()
-        assert monitor.running
-        assert monitor.start() is monitor  # idempotent, no second thread
-        # start() sampled once synchronously on the calling thread.
-        assert registry.counter("process_samples_total").value == 1
-        assert registry.gauge("process_cpu_seconds").value == 1.0
-        assert registry.gauge("process_rss_bytes").value == 1000.0
-
-        sample_taken.clear()
-        clock.wait_for_waiters(1)  # the loop is provably parked on the clock
-        clock.advance(1.0)  # below the interval: the deadline is not reached
-        assert not sample_taken.is_set()
-        clock.advance(1.0)  # crosses the deadline -> one loop sample
-        assert sample_taken.wait(timeout=5)  # real timeout bounds failure only
-        assert registry.counter("process_samples_total").value == 2
-
-        sample_taken.clear()
-        clock.wait_for_waiters(1)
-        clock.advance(2.0)
-        assert sample_taken.wait(timeout=5)
-        assert registry.counter("process_samples_total").value == 3
-
-        clock.wait_for_waiters(1)
-        monitor.stop()
-        assert not monitor.running
-        monitor.stop()  # idempotent
-        # Stopped means stopped: advancing time takes no further samples.
-        count_after_stop = registry.counter("process_samples_total").value
-        clock.advance(10.0)
-        assert registry.counter("process_samples_total").value == count_after_stop
-
-    def test_context_manager_stops_the_thread(self):
-        clock = VirtualClock()
-        registry = MetricsRegistry()
-        with SystemMonitor(registry, sampler=lambda: (1.0, 2.0), clock=clock) as monitor:
-            assert monitor.running
-        assert not monitor.running
-
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError, match="interval"):
-            SystemMonitor(MetricsRegistry(), interval=0.0)
-
-    def test_default_sampler_reads_this_process(self):
-        cpu_seconds, rss_bytes = default_process_sampler()
-        assert cpu_seconds > 0.0
-        assert rss_bytes > 0.0
-
-    def test_sample_once_works_against_the_null_registry(self):
-        monitor = SystemMonitor(NULL_REGISTRY, sampler=lambda: (1.0, 2.0))
-        assert monitor.sample_once() == (1.0, 2.0)
 
 
 # ---------------------------------------------------------------------- #

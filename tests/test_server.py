@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.api import Engine, EngineConfig, QueryRequest
 from repro.api.engine import _LRUCache
+from repro.core.config import StartConfig
 from repro.obs import NULL_REGISTRY
 from repro.server import (
     BatchAggregator,
@@ -43,8 +44,11 @@ from repro.server import (
     ServingRuntime,
 )
 from repro.streaming.reader import TrajectoryStreamReader
+from repro.trajectory.io import append_trajectories
+from repro.trajectory.presets import build_dataset
 from serving_runtime_kit import (
     DIM,
+    SMALL_GEOMETRY,
     BatchGate,
     FaultInjector,
     FlakyEncoder,
@@ -848,6 +852,84 @@ class TestCrashRestartEquivalence:
         )
         with restored:
             assert_responses_identical(restored.query(request, timeout=30), expected)
+
+
+@pytest.fixture(scope="module")
+def road_model():
+    """A START model over a small road network, and eight of its trips."""
+    dataset = build_dataset("synthetic-bj", scale=0.2)
+    engine = Engine.from_dataset(dataset, EngineConfig(start=StartConfig(seed=5)))
+    return engine.model, dataset.trajectories[:8]
+
+
+def road_engine(model) -> Engine:
+    return Engine(model, EngineConfig(**SMALL_GEOMETRY))
+
+
+def with_road(trajectory, road: int):
+    refused = trajectory.copy()
+    refused.roads[1] = road
+    return refused
+
+
+class TestRefusedRecords:
+    """Records the encoder refuses are stopped where they enter the runtime,
+    so they never reach (and stop) the ingest thread."""
+
+    def test_a_wave_holding_a_refused_record_is_rejected_whole(self, road_model):
+        model, trips = road_model
+        runtime = ServingRuntime(road_engine(model), ServerConfig(num_workers=1))
+        wave = [trips[0], with_road(trips[1], -1)]
+        with runtime:
+            for ingest in (runtime.submit_ingest, runtime.ingest):
+                with pytest.raises(ValueError, match="batch row 1: road id -1 is outside"):
+                    ingest(wave)
+            runtime.flush_ingest()
+            assert len(runtime.primary) == 0
+            assert runtime.submit_ingest(trips[:2]) == 2
+            runtime.flush_ingest()
+            assert len(runtime.primary) == 2
+
+    @pytest.mark.parametrize("kill_point", [3, 4, 6, 8])
+    def test_refused_stream_record_is_dropped_across_a_crash(
+        self, tmp_path, road_model, kill_point
+    ):
+        model, trips = road_model
+        records = list(trips)
+        records[3] = with_road(records[3], -1)
+        config = ServerConfig(ingest_group_size=3, publish_every_groups=1, num_workers=1)
+        probes = model.encode(trips[:3])
+
+        reference = ServingRuntime(road_engine(model), config)
+        append_trajectories(tmp_path / "reference.jsonl", records)
+        reference.attach_stream(tmp_path / "reference.jsonl")
+        reference.flush_ingest()
+        assert reference.stats()["rejected_records"] == 1
+        families = reference.metrics()["metrics"]
+        assert families["server_rejected_records_total"]["series"][0]["value"] == 1
+        assert len(reference.primary) == len(records) - 1
+        expected = engine_fingerprint(reference.primary, probes)
+
+        # Killed after reading ``kill_point`` records, then restored from the
+        # last checkpoint, which may lie before the refused record.
+        stream = tmp_path / "crash.jsonl"
+        victim = ServingRuntime(road_engine(model), config.variant(checkpoint_dir=tmp_path / "ckpt"))
+        victim.attach_stream(stream)
+        victim.flush_ingest()
+        for record in records[:kill_point]:
+            append_trajectories(stream, [record])
+            victim.pump()
+        del victim
+        restored = ServingRuntime.restore(
+            tmp_path / "ckpt", model, config=config, stream_path=stream
+        )
+        for record in records[kill_point:]:
+            append_trajectories(stream, [record])
+            restored.pump()
+        restored.flush_ingest()
+        assert engine_fingerprint(restored.primary, probes) == expected
+        reference.shutdown()
+        restored.shutdown()
 
 
 class TestRuntimeMetrics:

@@ -21,6 +21,13 @@ from repro.trajectory import (
     transfer_probability_matrix,
     visit_frequencies,
 )
+from repro.trajectory.types import (
+    FIRST_SECOND,
+    LAST_SECOND,
+    days_of_week,
+    minutes_of_day,
+    whole_seconds,
+)
 
 
 class TestTimeHelpers:
@@ -46,6 +53,39 @@ class TestTimeHelpers:
         timestamp = REFERENCE_EPOCH + offset
         assert 1 <= minute_of_day(timestamp) <= 1440
         assert 1 <= day_of_week(timestamp) <= 7
+
+
+class TestArrayTimeHelpers:
+    def test_match_the_scalar_helpers(self):
+        days = np.arange(-10, 12)[:, None] * 86400
+        offsets = np.array([0, 0.5, -0.5, -1, -1.5, 59.999, 60, 3599.5, 86399, 86399.999])
+        around_1970 = (days + offsets).ravel()
+        timestamps = np.concatenate([around_1970, REFERENCE_EPOCH + around_1970])
+        seconds = whole_seconds(timestamps)
+        assert seconds.tolist() == [int(t) for t in timestamps]
+        assert minutes_of_day(seconds).tolist() == [minute_of_day(t) for t in timestamps]
+        assert days_of_week(seconds).tolist() == [day_of_week(t) for t in timestamps]
+
+    def test_datetime_range_edges(self):
+        edges = [FIRST_SECOND, FIRST_SECOND - 0.5, LAST_SECOND, LAST_SECOND + 0.5]
+        seconds = whole_seconds(edges)
+        assert days_of_week(seconds).tolist() == [day_of_week(t) for t in edges]
+
+    @pytest.mark.parametrize(
+        "timestamp", [float("nan"), float("inf"), float("-inf"), FIRST_SECOND - 1, LAST_SECOND + 1]
+    )
+    def test_whole_seconds_rejects_what_day_of_week_rejects(self, timestamp):
+        with pytest.raises((ValueError, OverflowError)):
+            day_of_week(timestamp)
+        with pytest.raises(ValueError, match="non-finite or outside datetime's years"):
+            whole_seconds([REFERENCE_EPOCH, timestamp])
+
+    def test_trajectory_indices_use_the_array_helpers(self):
+        trajectory = Trajectory(roads=[1, 2, 3], timestamps=[-0.5, 86399.5, REFERENCE_EPOCH + 7])
+        assert trajectory.minute_indices().tolist() == [1, 1440, 1]
+        assert trajectory.day_indices().tolist() == [4, 4, 1]
+        empty = Trajectory(roads=[], timestamps=[])
+        assert empty.minute_indices().dtype == np.int64 and empty.day_indices().shape == (0,)
 
 
 class TestTrajectoryTypes:
