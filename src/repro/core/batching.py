@@ -85,7 +85,7 @@ class BatchBuilder:
         self.max_length = max_length
         self.mask_ratio = mask_ratio
         self.mask_length = mask_length
-        self._rng = rng if rng is not None else get_rng()
+        self._rng = rng  # None: seeded by get_rng() at the first span mask
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -240,6 +240,8 @@ class BatchBuilder:
         rows = [self._truncate(t.roads, t.timestamps) for t in trajectories]
         mask_positions = None
         if span_mask:
+            if self._rng is None:
+                self._rng = get_rng()
             mask_positions = [
                 _span_mask_positions(len(roads), self.mask_ratio, self.mask_length, self._rng)
                 for roads, _ in rows

@@ -112,10 +112,11 @@ class STARTModel(Module):
             rng=rng,
         )
         self.mask_head = Linear(self.config.d_model, self.num_roads, rng=rng)
-        # Frozen-weights road-representation cache used on the no-grad
-        # inference path (invalidated whenever the model re-enters train mode
-        # or loads new weights).
+        # Frozen-weights caches of the no-grad inference path: the road table,
+        # and the [specials; roads] token table ``encode`` reads (both dropped
+        # whenever the model re-enters train mode or loads new weights).
         self._road_cache: Tensor | None = None
+        self._token_cache: Tensor | None = None
 
     # ------------------------------------------------------------------ #
     # Building blocks
@@ -140,11 +141,11 @@ class STARTModel(Module):
 
     def train(self, mode: bool = True) -> "STARTModel":
         if mode:
-            self._road_cache = None
+            self._road_cache = self._token_cache = None
         return super().train(mode)
 
     def load_state_dict(self, state: dict, strict: bool = True) -> None:
-        self._road_cache = None
+        self._road_cache = self._token_cache = None
         super().load_state_dict(state, strict=strict)
 
     def _token_table(self) -> Tensor:
@@ -247,13 +248,16 @@ class STARTModel(Module):
         if not trajectories:
             return np.zeros((0, self.config.d_model), dtype=np.float32)
         batch_size = batch_size or self.config.batch_size
-        builder = self.make_builder()
+        # Builds without span masks draw nothing, so no generator is seeded.
+        builder = BatchBuilder(self.num_roads, max_length=self.config.max_trajectory_length)
         was_training = self.training
         if was_training:  # eval() walks the whole module tree
             self.eval()
         outputs: list[np.ndarray] = []
         with no_grad():
-            table = self._token_table()  # one stage-one sweep for all batches
+            if self._token_cache is None:  # one stage-one sweep until the weights change
+                self._token_cache = self._token_table()
+            table = self._token_cache
             for start in range(0, len(trajectories), batch_size):
                 chunk = trajectories[start : start + batch_size]
                 batch = builder.build(chunk, span_mask=False, time_mode=time_mode)

@@ -38,6 +38,19 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.nda
     return out
 
 
+def _add_into(out: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``out + other``, written into ``out`` where that keeps the same words.
+
+    NumPy adds into a one-element ``out`` as a reduction, which keeps
+    ``other``'s NaN where ``out + other`` keeps ``out``'s; arrays of two or
+    more elements agree.  So a one-element sum is taken out of place.
+    """
+    if out.size == 1:
+        return out + other
+    out += other
+    return out
+
+
 def layer_norm(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
@@ -48,8 +61,7 @@ def layer_norm(
     if centered.dtype != np.result_type(centered, gamma, beta):
         return centered * gamma + beta  # wider weights promote, as out of place
     centered *= gamma
-    centered += beta
-    return centered
+    return _add_into(centered, beta)
 
 
 #: Below this many rows NumPy's own per-row max is faster than transposing:
@@ -127,7 +139,7 @@ def fused_attention(
     scores = query @ key.transpose(0, 1, 3, 2)  # (B, heads, L, L), a fresh array
     if attention_bias is not None:
         if attention_bias.dtype == scores.dtype:
-            scores += attention_bias
+            scores = _add_into(scores, attention_bias)
         else:
             scores = scores + attention_bias  # a float64 bias promotes the scores
     if key_padding_mask is not None:

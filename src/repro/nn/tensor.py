@@ -12,6 +12,21 @@ Design notes
   gradient buffer and a closure that propagates gradients to its parents.
 * The graph is built eagerly.  ``Tensor.backward()`` performs a topological
   sort and runs the stored backward closures in reverse order.
+* ``backward()`` frees the graph as it goes, as PyTorch does by default.
+  Once an interior node's closure has run, the node drops its gradient,
+  its closure and its parent links, so each activation dies as soon as no
+  later closure needs it and nothing of the graph outlives the call.  A
+  training step thus holds one graph, not two: the previous step's graph
+  used to live until the loop rebound its loss.  Leaves (parameters, and
+  tensors made with ``requires_grad=True``) keep their gradients.
+* Back-propagating through a freed node raises ``RuntimeError`` before any
+  gradient moves: a second ``loss.backward()`` (which used to add every
+  leaf gradient again), or a freed interior reused in a new graph (whose
+  gradient would silently stop short of the leaves behind it).  There is
+  no ``retain_graph``: every training loop here runs
+  one backward per graph, so one path serves them all, and its gradients
+  are bitwise those of the graph-keeping backward (the closures run in the
+  same order on the same operands).
 * Broadcasting in the forward pass is undone in the backward pass by
   :func:`unbroadcast`, which sums gradient entries over broadcast axes.
 * Gradients are accumulated (``+=``), matching PyTorch semantics, so
@@ -78,6 +93,17 @@ def _is_basic_index(index) -> bool:
         item is None or item is Ellipsis or isinstance(item, (int, np.integer, slice))
         for item in items
     )
+
+
+_FREED_GRAPH = (
+    "backward() through a graph that was already back-propagated, which "
+    "freed its interior nodes; run the forward again"
+)
+
+
+def _freed(grad) -> None:
+    """Stands in for the closure of a node whose graph ``backward()`` freed."""
+    raise RuntimeError(_FREED_GRAPH)
 
 
 def _as_array(value, dtype=DEFAULT_DTYPE) -> np.ndarray:
@@ -197,7 +223,12 @@ class Tensor:
             self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
+        """Run reverse-mode autodiff from this tensor, freeing its graph.
+
+        Each interior node drops its gradient, closure and parent links once
+        its closure has run; leaves keep their gradients.  Raises
+        ``RuntimeError``, moving no gradient, when the graph holds a node an
+        earlier call freed.
 
         Parameters
         ----------
@@ -222,6 +253,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _freed:  # raise before any gradient moves
+                raise RuntimeError(_FREED_GRAPH)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -229,9 +262,19 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        # Pop, so the list holds no node whose closure has run.  A node's
+        # gradient is complete once every child has run (they come first).
+        while topo:
+            node = topo.pop()
+            backward = node._backward
+            if backward is None:  # a leaf or a constant
+                continue
+            grad = node.grad
+            node.grad = None
+            node._backward = _freed
+            node._parents = ()
+            if grad is not None:
+                backward(grad)
 
     # ------------------------------------------------------------------ #
     # Arithmetic

@@ -262,7 +262,8 @@ class ServingRuntime:
             "server_stream_bytes_total", "stream bytes consumed"
         )
         self._m_rejected_records = registry.counter(
-            "server_rejected_records_total", "stream records the encoder refuses, dropped"
+            "server_rejected_records_total",
+            "stream records dropped: corrupt lines and records the encoder refuses",
         )
         self._m_lag_records = registry.gauge(
             "server_ingest_lag_records", "records accepted but not yet ingested"
@@ -654,10 +655,13 @@ class ServingRuntime:
                     self._check_records([record])
                     admitted.append(record)
                 except ValueError:
-                    self._rejected_records += 1
-                    self._m_rejected_records.inc()
+                    self._count_rejected_locked()
             return admitted
         return records
+
+    def _count_rejected_locked(self) -> None:
+        self._rejected_records += 1
+        self._m_rejected_records.inc()
 
     def _check_accepting_ingest_locked(self) -> None:
         # Checked under _ingest_lock, in one section with the caller's append
@@ -745,7 +749,7 @@ class ServingRuntime:
                 # reader position *before* any buffered records.
                 self._stream_base_state = self._reader.state
             need = group_size - len(self._stream_buffer)
-            polled = self._reader.poll(max_records=need)
+            polled = self._read_stream_locked(need)
             self._stream_buffer.extend(self._admit_stream_records_locked(polled))
             if len(self._stream_buffer) < group_size:
                 if len(polled) < need:  # the stream is drained for now
@@ -754,6 +758,31 @@ class ServingRuntime:
             group, self._stream_buffer = self._stream_buffer, []
             self._ingest_group_locked(group)
             ingested += len(group)
+
+    def _read_stream_locked(self, need: int) -> list[Trajectory]:
+        """Up to ``need`` records off the stream; fewer only once it is drained.
+
+        A corrupt line is quarantined where it is read, as a refused record
+        is: the records before it are kept, the line is stepped over and
+        counted, and reading goes on after it, so a restored reader meets
+        and skips it again.  ``poll`` raises with the reader still before
+        the line but has consumed the records ahead of it, so those are
+        read again through the reader's iterator, which hands each one
+        over before it meets the line.
+        """
+        records: list[Trajectory] = []
+        while True:
+            start = self._reader.state
+            try:
+                return records + self._reader.poll(max_records=need - len(records))
+            except ValueError:
+                self._reader.seek(**start)
+            try:
+                for record in self._reader:
+                    records.append(record)
+            except ValueError:
+                self._reader.skip_line()
+                self._count_rejected_locked()
 
     def _ingest_group_locked(self, group: list[Trajectory]) -> None:
         with self._encode_lock:

@@ -111,6 +111,22 @@ class TrajectoryStreamReader:
                     out.append(trajectory)
         return out
 
+    def skip_line(self) -> None:
+        """Step over the complete line at the offset without decoding it.
+
+        After :meth:`poll` raised on a corrupt record, the reader is still
+        before it; this moves past it, so reading can go on (the serving
+        runtime quarantines such lines).  The line counts in
+        :attr:`line_number`, not in :attr:`records_read`.  A partial
+        trailing line (a producer mid-write) is left as it is.
+        """
+        with open(self.path, "rb") as handle:
+            handle.seek(self._offset)
+            line = handle.readline()
+        if line.endswith(b"\n"):
+            self._offset += len(line)
+            self._line_number += 1
+
     def _next_record(self, handle) -> "Trajectory | None":
         """Consume one complete line from ``handle`` (positioned at offset).
 

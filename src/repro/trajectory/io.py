@@ -66,7 +66,7 @@ def parse_trajectory_record(
             mode=record.get("mode", "car"),
             trajectory_id=int(record["trajectory_id"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
         raise ValueError(f"invalid trajectory record at {where}: {exc!r}") from None
 
 

@@ -10,10 +10,11 @@ so an encoding never moves, not even in its last bit.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bulk_encode_reference as reference
@@ -158,6 +159,28 @@ def arrays_with_specials(draw, shape, dtype=np.float32):
     return values
 
 
+class Drawn:
+    """Stands in for ``st.data()`` in an ``@example``: the draws, in order,
+    replayed from the first whenever hypothesis runs the example again."""
+
+    def __init__(self, *values) -> None:
+        self._values = itertools.cycle(values)
+
+    def draw(self, strategy, label=None):
+        return next(self._values)
+
+
+def words(bits: int, dtype=np.float32) -> np.ndarray:
+    """A one-element array holding the float whose bit pattern is ``bits``."""
+    unsigned = np.uint32 if dtype == np.float32 else np.uint64
+    return np.array([bits], dtype=unsigned).view(dtype)
+
+
+#: NaNs of both signs.  NumPy adds into a one-element array as a reduction,
+#: which keeps the right operand's NaN where ``a + b`` keeps the left one's.
+NEGATIVE_NAN, POSITIVE_NAN = words(0xFFC00000), words(0x7FC00000)
+
+
 def assert_same_words(got: np.ndarray, want: np.ndarray) -> None:
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -202,6 +225,11 @@ class TestKernelsMatchReference:
         shape=st.tuples(*(st.integers(1, n) for n in (3, 6, 12))),
         weight_dtype=st.sampled_from([np.float32, np.float64]),
     )
+    @example(  # one element, 0 * -NaN + NaN: ``a + b`` keeps the -NaN
+        data=Drawn(np.array([[[0.12573022]]], dtype=np.float32), NEGATIVE_NAN, POSITIVE_NAN),
+        shape=(1, 1, 1),
+        weight_dtype=np.float32,
+    )
     def test_layer_norm(self, data, shape, weight_dtype):
         x = data.draw(arrays_with_specials(shape))
         gamma = data.draw(arrays_with_specials(shape[-1:], weight_dtype))
@@ -221,6 +249,20 @@ class TestKernelsMatchReference:
         bias_kind=st.sampled_from([None, np.float32, np.float64]),
         masked=st.booleans(),
         return_weights=st.booleans(),
+    )
+    @example(  # one score, -NaN with weight seed 0, plus a +NaN bias (softmax's
+        # ``exp`` returns +NaN for either, so only the scores' words differed)
+        data=Drawn(
+            0,
+            np.array([[[NEGATIVE_NAN[0], 0, 0, 0]]], dtype=np.float32),
+            POSITIVE_NAN.reshape(1, 1, 1, 1),
+        ),
+        batch=1,
+        seq=1,
+        heads=1,
+        bias_kind=np.float32,
+        masked=False,
+        return_weights=True,
     )
     def test_fused_attention(self, data, batch, seq, heads, bias_kind, masked, return_weights):
         d_model = 4 * heads

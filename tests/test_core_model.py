@@ -343,3 +343,30 @@ class TestSTARTModel:
             model_b.encode(dataset.trajectories[:3]),
             atol=1e-5,
         )
+
+    @pytest.mark.parametrize("road_encoder", ["tpe-gat", "random"])
+    def test_encode_after_load_state_dict_uses_the_new_weights(self, dataset, road_encoder):
+        """``encode`` caches its token table; loading weights drops it."""
+        trips = dataset.trajectories[:3]
+        model = STARTModel.from_dataset(dataset, tiny_config(road_encoder=road_encoder))
+        other = STARTModel.from_dataset(dataset, tiny_config(road_encoder=road_encoder, seed=123))
+        model.eval()
+        stale = model.encode(trips)
+        model.load_state_dict(other.state_dict())
+        fresh = model.encode(trips)
+        assert fresh.tobytes() == other.encode(trips).tobytes()
+        assert fresh.tobytes() != stale.tobytes()
+
+    def test_encode_after_training_uses_the_new_weights(self, dataset):
+        trips = dataset.trajectories[:3]
+        model = STARTModel.from_dataset(dataset, tiny_config())
+        model.eval()
+        stale = model.encode(trips)
+        model.train()
+        model.special_embedding.weight.data += 1.0  # an optimizer step, in train mode
+        model.eval()
+        fresh = model.encode(trips)
+        twin = STARTModel.from_dataset(dataset, tiny_config(seed=123))
+        twin.load_state_dict(model.state_dict())
+        assert fresh.tobytes() == twin.encode(trips).tobytes()
+        assert fresh.tobytes() != stale.tobytes()

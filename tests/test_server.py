@@ -766,8 +766,22 @@ class TestCheckpointer:
             resumed.seek(-1)
 
 
+#: A stream entry that is no record: ``_append_stream`` writes a corrupt line.
+CORRUPT = None
+
+
+def _append_stream(path: Path, entries) -> None:
+    for entry in entries:
+        if entry is CORRUPT:
+            with open(path, "a") as handle:
+                handle.write("{not json\n")
+        else:
+            write_stream(path, [entry])
+
+
 def _crash_restart_fingerprints(root: Path, ids, group_size, publish_every, kill_point):
-    """Fingerprints of (uninterrupted, killed-and-restored) runs over ``ids``."""
+    """Fingerprints of (uninterrupted, killed-and-restored) runs over ``ids``
+    (trajectory ids, and ``CORRUPT`` for a corrupt line)."""
     config = ServerConfig(
         ingest_group_size=group_size,
         publish_every_groups=publish_every,
@@ -776,7 +790,7 @@ def _crash_restart_fingerprints(root: Path, ids, group_size, publish_every, kill
     # Reference: every record, one run, no crash.  Grouping depends only on
     # record order, so feeding the stream up-front is equivalent.
     reference_stream = root / "reference.jsonl"
-    write_stream(reference_stream, ids)
+    _append_stream(reference_stream, ids)
     reference = ServingRuntime(
         make_engine(batch_sensitive_encode),
         config.variant(checkpoint_dir=root / "reference_ckpt"),
@@ -798,8 +812,8 @@ def _crash_restart_fingerprints(root: Path, ids, group_size, publish_every, kill
     )
     victim.attach_stream(stream)
     victim.flush_ingest()  # the initial checkpoint a server commits on boot
-    for trajectory_id in ids[:kill_point]:
-        write_stream(stream, [trajectory_id])
+    for entry in ids[:kill_point]:
+        _append_stream(stream, [entry])
         victim.pump()
     del victim  # the crash: nothing flushed, nothing drained
 
@@ -809,8 +823,8 @@ def _crash_restart_fingerprints(root: Path, ids, group_size, publish_every, kill
         config=config,
         stream_path=stream,
     )
-    for trajectory_id in ids[kill_point:]:
-        write_stream(stream, [trajectory_id])
+    for entry in ids[kill_point:]:
+        _append_stream(stream, [entry])
         restored.pump()
     restored.flush_ingest()
     actual = engine_fingerprint(restored.primary)
@@ -837,6 +851,22 @@ class TestCrashRestartEquivalence:
             expected, actual = _crash_restart_fingerprints(
                 Path(root), list(range(count)), group_size, publish_every, kill_point
             )
+        assert actual == expected
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_any_kill_point_around_a_corrupt_line_restores_bit_identically(self, data):
+        count = data.draw(st.integers(min_value=3, max_value=12), label="records")
+        entries = list(range(count))
+        entries.insert(data.draw(st.integers(min_value=0, max_value=count), label="corrupt_at"), CORRUPT)
+        group_size = data.draw(st.integers(min_value=1, max_value=4), label="group_size")
+        publish_every = data.draw(st.integers(min_value=1, max_value=3), label="publish_every")
+        kill_point = data.draw(st.integers(min_value=0, max_value=len(entries)), label="kill_point")
+        with tempfile.TemporaryDirectory(prefix="repro-server-crash-") as root:
+            expected, actual = _crash_restart_fingerprints(
+                Path(root), entries, group_size, publish_every, kill_point
+            )
+        assert expected[0] == count
         assert actual == expected
 
     def test_restored_runtime_serves_queries(self, tmp_path):
@@ -930,6 +960,53 @@ class TestRefusedRecords:
         assert engine_fingerprint(restored.primary, probes) == expected
         reference.shutdown()
         restored.shutdown()
+
+
+class TestCorruptStreamLines:
+    """A corrupt JSONL line is quarantined where it is read: the records
+    around it are ingested, the line is counted, and ingest goes on."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "{not json",
+            '{"roads": [1e400], "timestamps": [0.0], "user_id": 0, "occupied": 0, "trajectory_id": 9}',
+            "\udcff",  # written as the byte 0xff: not UTF-8
+        ],
+        ids=["bad-json", "road-overflow", "not-utf8"],
+    )
+    def test_records_around_a_corrupt_line_are_ingested(self, tmp_path, line):
+        stream = tmp_path / "stream.jsonl"
+        write_stream(stream, [1, 2])
+        with open(stream, "a", encoding="utf-8", errors="surrogateescape") as handle:
+            handle.write(line + "\n")
+        write_stream(stream, [3, 4])
+        runtime = make_runtime(make_engine(), ingest_group_size=64)
+        reader = runtime.attach_stream(stream)
+        runtime.flush_ingest()
+        assert len(runtime.primary) == 4
+        assert runtime.stats()["rejected_records"] == 1
+        families = runtime.metrics()["metrics"]
+        assert families["server_rejected_records_total"]["series"][0]["value"] == 1
+        assert (reader.records_read, reader.line_number) == (4, 5)
+        assert reader.offset == stream.stat().st_size
+        runtime.shutdown()
+
+    def test_the_ingest_thread_steps_over_a_corrupt_line(self, tmp_path):
+        stream = tmp_path / "stream.jsonl"
+        _append_stream(stream, [1, 2, CORRUPT, 3, 4])
+        runtime = make_runtime(make_engine(), ingest_group_size=1, poll_interval=0.01)
+        with runtime:
+            runtime.attach_stream(stream)
+            deadline = time.monotonic() + 30
+            while runtime.stats()["ingested_records"] < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert runtime.stats()["ingested_records"] == 4
+            _append_stream(stream, [5])  # read only if the thread still runs
+            while runtime.stats()["ingested_records"] < 5 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert runtime.stats()["ingested_records"] == 5
+        assert runtime.stats()["rejected_records"] == 1
 
 
 class TestRuntimeMetrics:
