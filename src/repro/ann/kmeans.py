@@ -55,9 +55,12 @@ def assign_to_centroids(
 def _plusplus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids by squared-distance weight."""
     count = data.shape[0]
+    # Every step scores all rows against one new centroid: their norms are
+    # the same each time, so compute them once.
+    norms = squared_norms(data)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = int(rng.integers(count))
-    closest = pairwise_squared_euclidean(data, data[chosen[:1]])[:, 0]
+    closest = pairwise_squared_euclidean(data, data[chosen[:1]], query_norms=norms)[:, 0]
     for i in range(1, k):
         total = float(closest.sum())
         if total <= 0.0:
@@ -66,7 +69,7 @@ def _plusplus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             chosen[i] = int(rng.integers(count))
         else:
             chosen[i] = int(rng.choice(count, p=closest / total))
-        new_d = pairwise_squared_euclidean(data, data[chosen[i : i + 1]])[:, 0]
+        new_d = pairwise_squared_euclidean(data, data[chosen[i : i + 1]], query_norms=norms)[:, 0]
         np.minimum(closest, new_d, out=closest)
     return data[chosen].copy()
 

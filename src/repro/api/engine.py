@@ -452,8 +452,14 @@ class Engine:
         return row_ids
 
     def drain(self, reader: TrajectoryStreamReader, max_records: int | None = None) -> np.ndarray:
-        """Ingest one poll of a stream reader (records appended since last poll)."""
-        return self.ingest(reader.poll(max_records=max_records))
+        """Ingest one poll of a stream reader (records appended since last poll).
+
+        Corrupt lines are stepped over, as the serving runtime's stream
+        ingest does (:meth:`TrajectoryStreamReader.poll_quarantined`): the
+        records around them are ingested and the reader moves past them.
+        """
+        records, _ = reader.poll_quarantined(max_records)
+        return self.ingest(records)
 
     def remove(self, row_ids) -> int:
         """Remove rows by global id; returns how many were alive.

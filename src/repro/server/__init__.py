@@ -7,8 +7,9 @@ Public surface:
   compaction, graceful drain and lossless checkpoint/restart.
 * :class:`~repro.server.config.ServerConfig` / :class:`~repro.server.config.ServerHooks`
   — knobs and observation/fault-injection points.
-* :class:`~repro.server.aggregator.BatchAggregator` — size-or-timeout
-  request coalescing (usable standalone).
+* :class:`~repro.server.aggregator.BatchAggregator` — the pending buffer
+  workers take their batches from, by size, age or a pause in arrivals
+  (usable standalone).
 * :class:`~repro.server.checkpoint.Checkpointer` — atomic snapshot +
   stream-offset checkpoints.
 """

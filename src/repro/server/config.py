@@ -14,8 +14,9 @@ class KillWorker(BaseException):
     """Raised from a hook to terminate the current query worker.
 
     The fault-injection escape hatch of the concurrency test-kit: a hook
-    that raises this makes the worker re-enqueue its in-flight batch (no
-    request is lost) and exit, exercising the supervision/respawn path.
+    that raises this makes the worker put its batch's unanswered requests
+    back at the front of the pending buffer (no request is lost) and exit,
+    exercising the supervision/respawn path.
     Derives from ``BaseException`` so a worker's per-request ``except
     Exception`` error containment cannot swallow it.
     """
@@ -25,13 +26,16 @@ class KillWorker(BaseException):
 class ServerConfig:
     """Every knob of a :class:`~repro.server.runtime.ServingRuntime`.
 
-    Query path — ``max_batch`` and ``linger`` drive the size-or-timeout
-    batch aggregator (a batch is dispatched when it holds ``max_batch``
-    requests or when its oldest request has waited ``linger`` seconds);
-    ``num_workers`` query workers share one bit-stable replica of the
-    primary index per published generation; ``coalesce`` picks the batch
-    execution mode of :meth:`repro.api.Engine.query_many` — ``"aligned"``
-    (default) is bitwise identical to sequential
+    Query path — a free query worker takes up to ``max_batch`` of the
+    oldest pending requests once ``max_batch`` are pending, once the oldest
+    has waited ``linger`` seconds, or once for ``linger / 8`` no request has
+    arrived and no worker has come back from a batch.  So ``linger`` bounds
+    how long a request waits for batch-mates, and a lone request on an idle
+    runtime waits only the pause.  ``num_workers`` query workers share one
+    bit-stable replica of the primary index per published generation;
+    ``coalesce`` picks the batch execution mode of
+    :meth:`repro.api.Engine.query_many` — ``"aligned"`` (default) is
+    bitwise identical to sequential
     :meth:`~repro.api.Engine.query`, ``"fused"`` amortises one index scan
     across the batch at last-ulp distance drift.
 
@@ -51,8 +55,8 @@ class ServerConfig:
 
     Supervision — a worker killed by a fault (see :class:`KillWorker`) is
     replaced until ``max_worker_respawns`` replacements have been spawned;
-    after that, queued batches fail over to the surviving workers, and if
-    none survive, pending requests are failed with :class:`ServerClosed`.
+    after that, the surviving workers serve what is pending, and if none
+    survive, pending requests are failed with :class:`ServerClosed`.
     """
 
     max_batch: int = 32

@@ -3,15 +3,17 @@
 :class:`ServingRuntime` turns the single-threaded :class:`repro.api.Engine`
 into a server.  Four cooperating pieces, each individually simple:
 
-**Batch aggregation** (caller threads + one flusher).  Concurrent
-:class:`~repro.api.QueryRequest`\\ s land in a
-:class:`~repro.server.aggregator.BatchAggregator` and are released as one
-batch by size (``max_batch``) or age (``linger``).  Callers block on
-futures; nothing about a caller's answer depends on who it shared a batch
-with — in the default ``"aligned"`` mode responses are **bitwise identical**
-to the same requests issued sequentially through ``Engine.query`` (see
-:meth:`Engine.query_many <repro.api.Engine.query_many>` for why shape
-matching is what buys this).
+**Batch aggregation** (caller threads, no thread of its own).  Concurrent
+:class:`~repro.api.QueryRequest`\\ s land in one pending buffer, a
+:class:`~repro.server.aggregator.BatchAggregator`, and a free worker takes
+up to ``max_batch`` of the oldest as soon as ``max_batch`` are pending, the
+oldest has waited ``linger``, or for ``linger / 8`` no request has arrived
+and no worker has come back from a batch.
+Callers block on futures; nothing about a caller's answer depends on who it
+shared a batch with — in the default ``"aligned"`` mode responses are
+**bitwise identical** to the same requests issued sequentially through
+``Engine.query`` (see :meth:`Engine.query_many
+<repro.api.Engine.query_many>` for why shape matching is what buys this).
 
 **Query workers over one shared replica** (``num_workers`` daemon
 threads).  Each *published generation* is one read-only replica engine,
@@ -44,8 +46,9 @@ records.  Because checkpoints align with group boundaries, a killed server
 restarted via :meth:`ServingRuntime.restore` re-reads the stream from the
 recorded offset and re-forms **exactly** the encode groups the uninterrupted
 run would have formed — the restarted index is bit-identical, not merely
-equivalent.  :meth:`shutdown` drains in-flight queries, stops the workers,
-flushes any partial ingest group and commits a final checkpoint.
+equivalent.  :meth:`shutdown` stops accepting queries, lets the workers
+take what is pending without waiting, joins them, flushes any partial
+ingest group and commits a final checkpoint.
 
 Every blocking wait goes through an injected
 :class:`~repro.utils.clock.Clock`, so the whole runtime is drivable by the
@@ -55,7 +58,7 @@ sleeps anywhere.
 
 from __future__ import annotations
 
-import queue
+import logging
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -80,12 +83,12 @@ from repro.streaming.reader import TrajectoryStreamReader
 from repro.trajectory.types import Trajectory
 from repro.utils.clock import Clock, SystemClock
 
-#: Worker-queue sentinel: the receiving worker exits cleanly.
-_STOP = object()
+_log = logging.getLogger(__name__)
 
 
 class _QueryWorker(threading.Thread):
-    """One query worker: runs each batch on the published replica."""
+    """One query worker: takes batches from the buffer and runs each on the
+    published replica."""
 
     def __init__(self, runtime: "ServingRuntime", worker_id: int) -> None:
         super().__init__(name=f"repro-server-worker-{worker_id}", daemon=True)
@@ -95,11 +98,7 @@ class _QueryWorker(threading.Thread):
     def run(self) -> None:
         reason = "stop"
         try:
-            while True:
-                item = self.runtime._queue.get()
-                if item is _STOP:
-                    return
-                batch: list[PendingQuery] = item
+            while (batch := self.runtime._aggregator.take()) is not None:
                 with self.runtime._state_lock:
                     generation, replica = self.runtime._published
                 try:
@@ -108,11 +107,12 @@ class _QueryWorker(threading.Thread):
                     self.runtime._hooks.on_batch_done(self.worker_id, len(batch), generation)
                 except KillWorker:
                     reason = "killed"
-                    survivors = [entry for entry in batch if not entry.future.done()]
-                    if survivors:
-                        # The batch outlives its worker: hand it back for a
-                        # surviving (or respawned) worker to serve.
-                        self.runtime._queue.put(survivors)
+                    # The batch outlives its worker: its unanswered requests
+                    # go back to the front for a surviving (or respawned)
+                    # worker to serve.
+                    self.runtime._aggregator.put_back(
+                        [entry for entry in batch if not entry.future.done()]
+                    )
                     return
                 except Exception as exc:
                     # Batch-level failure (hook or backend error): fail
@@ -157,9 +157,7 @@ class ServingRuntime:
         self.config = config or ServerConfig()
         self._hooks = hooks or ServerHooks()
         self._clock = clock if clock is not None else SystemClock()
-        self._queue: queue.Queue[list[PendingQuery] | object] = queue.Queue()
         self._aggregator = BatchAggregator(
-            self._enqueue_batch,
             max_batch=self.config.max_batch,
             linger=self.config.linger,
             clock=self._clock,
@@ -190,6 +188,8 @@ class ServingRuntime:
         self._ingested_records = 0
         self._ingested_waves = 0
         self._rejected_records = 0
+        self._ingest_errors = 0
+        self._last_ingest_error: str | None = None
         # Records are vetted where they enter, by the encoder's own batch
         # builder when it has one: a record it refuses never reaches the
         # ingest thread, whose encode would otherwise raise on it.
@@ -265,6 +265,9 @@ class ServingRuntime:
             "server_rejected_records_total",
             "stream records dropped: corrupt lines and records the encoder refuses",
         )
+        self._m_ingest_errors = registry.counter(
+            "server_ingest_errors_total", "background ingest cycles that raised"
+        )
         self._m_lag_records = registry.gauge(
             "server_ingest_lag_records", "records accepted but not yet ingested"
         )
@@ -292,7 +295,6 @@ class ServingRuntime:
             self._started_at = self._clock.monotonic()
         with self._ingest_lock:
             self._publish_locked()
-        self._aggregator.start()
         with self._state_lock:
             for _ in range(self.config.num_workers):
                 self._spawn_worker_locked()
@@ -311,13 +313,13 @@ class ServingRuntime:
     def shutdown(self, *, drain: bool = True, timeout: float | None = None) -> None:
         """Stop the runtime; with ``drain`` (default) no accepted work is lost.
 
-        Order matters: close the aggregator (flushing buffered requests to
-        the workers), wait until every accepted query future is resolved,
-        stop the workers, stop the ingest thread, ingest any remaining
-        stream records and buffered partial group, and commit a final
-        checkpoint when checkpointing is configured.  ``drain=False`` skips
-        the waiting and the final ingest flush (in-flight work is abandoned
-        best-effort; accepted futures may still resolve).
+        Order matters: close the aggregator (workers then take what is
+        pending without waiting, and exit once it is empty), wait until every
+        accepted query future is resolved, join the workers, stop the ingest
+        thread, ingest any remaining stream records and buffered partial
+        group, and commit a final checkpoint when checkpointing is
+        configured.  ``drain=False`` skips the waiting and the final ingest
+        flush.
         """
         with self._state_lock:
             if self._closed:
@@ -328,8 +330,6 @@ class ServingRuntime:
         if drain:
             with self._inflight_cond:
                 self._inflight_cond.wait_for(lambda: self._inflight == 0, timeout)
-        for _ in workers:
-            self._queue.put(_STOP)
         for worker in workers:
             worker.join()
         self._stop_ingest = True
@@ -390,14 +390,13 @@ class ServingRuntime:
 
     def stats(self) -> dict[str, object]:
         """A point-in-time counters snapshot (queries, batches, faults, …)."""
-        aggregator = self._aggregator.stats
+        pending = self._aggregator.pending
         with self._state_lock:
             snapshot = {
                 "queries": self._queries,
                 "batches": self._batches,
-                "mean_occupancy": aggregator["mean_occupancy"],
-                "pending": self._aggregator.pending,
-                "queue_depth": self._queue.qsize(),
+                "mean_occupancy": self._queries / self._batches if self._batches else 0.0,
+                "pending": pending,
                 "inflight": self._inflight,
                 "workers_alive": len(self._workers),
                 "worker_deaths": self._worker_deaths,
@@ -408,6 +407,8 @@ class ServingRuntime:
                 "ingested_records": self._ingested_records,
                 "ingested_waves": self._ingested_waves,
                 "rejected_records": self._rejected_records,
+                "ingest_errors": self._ingest_errors,
+                "last_ingest_error": self._last_ingest_error,
                 "closed": self._closed,
             }
         return snapshot
@@ -498,15 +499,6 @@ class ServingRuntime:
             self._inflight -= 1
             self._inflight_cond.notify_all()
 
-    def _enqueue_batch(self, batch: list[PendingQuery]) -> None:
-        if self._poisoned:
-            for entry in batch:
-                entry.future.set_exception(
-                    ServerClosed("all query workers died; the runtime is poisoned")
-                )
-            return
-        self._queue.put(batch)
-
     def _execute_batch(self, batch: list[PendingQuery], replica: Engine) -> None:
         """Encode (per request, bit-identically) and answer one batch."""
         observed = self._metrics_registry.enabled
@@ -554,37 +546,25 @@ class ServingRuntime:
         worker.start()
 
     def _worker_exited(self, worker: _QueryWorker, reason: str) -> None:
-        poison = False
         with self._state_lock:
             if worker in self._workers:
                 self._workers.remove(worker)
             if reason == "killed":
                 self._worker_deaths += 1
                 self._m_worker_deaths.inc()
-                if not self._closed:
-                    if self._respawns < self.config.max_worker_respawns:
-                        self._respawns += 1
-                        self._m_worker_respawns.inc()
-                        self._spawn_worker_locked()
-                    elif not self._workers:
-                        self._poisoned = True
-                        poison = True
+                if not self._closed and self._respawns < self.config.max_worker_respawns:
+                    self._respawns += 1
+                    self._m_worker_respawns.inc()
+                    self._spawn_worker_locked()
+            stranded = not self._workers
+            if stranded and not self._closed:
+                self._poisoned = True
         self._hooks.on_worker_exit(worker.worker_id, reason)
-        if poison:
-            # Nobody is left to serve: fail queued batches instead of
-            # hanging their callers.
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is _STOP:
-                    continue
-                for entry in item:
-                    if not entry.future.done():
-                        entry.future.set_exception(
-                            ServerClosed("all query workers died; the runtime is poisoned")
-                        )
+        if stranded:
+            # Nobody is left to serve: fail what is pending (during a
+            # shutdown, what a killed worker put back) instead of hanging
+            # its callers.
+            self._aggregator.close(ServerClosed("no query worker is left to serve the request"))
 
     # ------------------------------------------------------------------ #
     # Ingest path
@@ -659,9 +639,9 @@ class ServingRuntime:
             return admitted
         return records
 
-    def _count_rejected_locked(self) -> None:
-        self._rejected_records += 1
-        self._m_rejected_records.inc()
+    def _count_rejected_locked(self, count: int = 1) -> None:
+        self._rejected_records += count
+        self._m_rejected_records.inc(count)
 
     def _check_accepting_ingest_locked(self) -> None:
         # Checked under _ingest_lock, in one section with the caller's append
@@ -697,7 +677,18 @@ class ServingRuntime:
             self._ingest_wake.clear()
             if self._stop_ingest:
                 return
-            self.pump()
+            try:
+                self.pump()
+            except Exception as exc:
+                # One failed cycle (an encoder error, a full disk at a
+                # checkpoint) must not end the thread: count it and poll on.
+                # A failed checkpoint is retried by the next publish, whose
+                # count of publishes since the last checkpoint still runs.
+                _log.exception("an ingest cycle failed; the ingest thread polls on")
+                with self._state_lock:
+                    self._ingest_errors += 1
+                    self._last_ingest_error = f"{type(exc).__name__}: {exc}"
+                self._m_ingest_errors.inc()
 
     def _ingest_wave_locked(self, wave: list[Trajectory]) -> None:
         with self._encode_lock:
@@ -749,7 +740,10 @@ class ServingRuntime:
                 # reader position *before* any buffered records.
                 self._stream_base_state = self._reader.state
             need = group_size - len(self._stream_buffer)
-            polled = self._read_stream_locked(need)
+            # A corrupt line is quarantined where it is read, as a refused
+            # record is: stepped over and counted.
+            polled, skipped = self._reader.poll_quarantined(need)
+            self._count_rejected_locked(skipped)
             self._stream_buffer.extend(self._admit_stream_records_locked(polled))
             if len(self._stream_buffer) < group_size:
                 if len(polled) < need:  # the stream is drained for now
@@ -758,31 +752,6 @@ class ServingRuntime:
             group, self._stream_buffer = self._stream_buffer, []
             self._ingest_group_locked(group)
             ingested += len(group)
-
-    def _read_stream_locked(self, need: int) -> list[Trajectory]:
-        """Up to ``need`` records off the stream; fewer only once it is drained.
-
-        A corrupt line is quarantined where it is read, as a refused record
-        is: the records before it are kept, the line is stepped over and
-        counted, and reading goes on after it, so a restored reader meets
-        and skips it again.  ``poll`` raises with the reader still before
-        the line but has consumed the records ahead of it, so those are
-        read again through the reader's iterator, which hands each one
-        over before it meets the line.
-        """
-        records: list[Trajectory] = []
-        while True:
-            start = self._reader.state
-            try:
-                return records + self._reader.poll(max_records=need - len(records))
-            except ValueError:
-                self._reader.seek(**start)
-            try:
-                for record in self._reader:
-                    records.append(record)
-            except ValueError:
-                self._reader.skip_line()
-                self._count_rejected_locked()
 
     def _ingest_group_locked(self, group: list[Trajectory]) -> None:
         with self._encode_lock:

@@ -10,7 +10,9 @@ consumer keeps reading, with no full materialisation on either side.
 
 Each poll's records are encoded as one wave by :meth:`repro.api.Engine.drain`
 (length-bucketed batches over the wave), or in deterministic fixed-size
-groups by :meth:`repro.server.ServingRuntime.attach_stream`.
+groups by :meth:`repro.server.ServingRuntime.attach_stream`; both read
+through :meth:`TrajectoryStreamReader.poll_quarantined`, which steps over
+corrupt lines.
 """
 
 from __future__ import annotations
@@ -110,6 +112,38 @@ class TrajectoryStreamReader:
                 if trajectory is not None:
                     out.append(trajectory)
         return out
+
+    def poll_quarantined(
+        self, max_records: int | None = None
+    ) -> tuple[list[Trajectory], int]:
+        """Like :meth:`poll`, but step over corrupt lines instead of raising.
+
+        Returns the records (at most ``max_records``) and the number of
+        lines stepped over.  The records before a corrupt line are kept, the
+        line is skipped (see :meth:`skip_line`), and reading goes on after
+        it, so a reader restored from an earlier :attr:`state` meets and
+        skips the same lines again.  :meth:`poll` raises with the reader
+        still before the line but has consumed the records ahead of it, so
+        those are read again through the iterator, which hands each one over
+        before it meets the line.
+        """
+        if max_records is not None and max_records < 1:
+            raise ValueError("max_records must be >= 1 when given")
+        records: list[Trajectory] = []
+        skipped = 0
+        while True:
+            start = self.state
+            wanted = None if max_records is None else max_records - len(records)
+            try:
+                return records + self.poll(max_records=wanted), skipped
+            except ValueError:
+                self.seek(**start)
+            try:
+                for record in self:
+                    records.append(record)
+            except ValueError:
+                self.skip_line()
+                skipped += 1
 
     def skip_line(self) -> None:
         """Step over the complete line at the offset without decoding it.

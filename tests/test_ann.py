@@ -31,6 +31,7 @@ from repro.api import create_backend
 from repro.serving.index import (
     finalize_topk,
     merge_topk_candidates,
+    pairwise_squared_euclidean,
     scan_topk_candidates,
     squared_norms,
 )
@@ -47,6 +48,24 @@ def add_at_cluster_means(data, assignments, counts):
     sums = np.zeros((counts.size, data.shape[1]), dtype=np.float64)
     np.add.at(sums, assignments, data)
     return (sums / counts[:, None]).astype(np.float32)
+
+
+def plusplus_init_reference(data, k, rng):
+    """k-means++ seeding as it scored rows before the row norms were
+    computed once: ``pairwise_squared_euclidean`` recomputes them per centroid."""
+    count = data.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = int(rng.integers(count))
+    closest = pairwise_squared_euclidean(data, data[chosen[:1]])[:, 0]
+    for i in range(1, k):
+        total = float(closest.sum())
+        if total <= 0.0:
+            chosen[i] = int(rng.integers(count))
+        else:
+            chosen[i] = int(rng.choice(count, p=closest / total))
+        new_d = pairwise_squared_euclidean(data, data[chosen[i : i + 1]])[:, 0]
+        np.minimum(closest, new_d, out=closest)
+    return data[chosen].copy()
 
 
 def per_list_reference(backend, queries, k):
@@ -204,6 +223,25 @@ class TestKMeans:
         assert any(saw_empty)  # the repair branch ran
         monkeypatch.setattr(kmeans_module, "_cluster_means", add_at_cluster_means)
         assert kmeans(data, 20, seed=0).tobytes() == centroids.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, dim, k",
+        [(4096, 64, 256), (300, 6, 12), (50, 3, 50), (17, 1, 5)],
+    )
+    def test_plusplus_seeding_is_byte_equal_to_the_per_centroid_norms(self, rows, dim, k):
+        data = random_corpus(rows + dim, rows, dim)
+        for seed in (0, 7):
+            seeded = kmeans_module._plusplus_init(data, k, np.random.default_rng(seed))
+            reference = plusplus_init_reference(data, k, np.random.default_rng(seed))
+            assert seeded.tobytes() == reference.tobytes()
+
+    def test_plusplus_seeding_of_duplicate_rows_is_byte_equal(self):
+        """All rows alike: every draw after the first takes the uniform
+        fallback (no distance mass is left)."""
+        data = np.repeat(random_corpus(8, 1, 5), 40, axis=0)
+        seeded = kmeans_module._plusplus_init(data, 6, np.random.default_rng(3))
+        reference = plusplus_init_reference(data, 6, np.random.default_rng(3))
+        assert seeded.tobytes() == reference.tobytes()
 
     def test_clustered_data_recovers_clusters(self):
         rng = np.random.default_rng(5)

@@ -492,6 +492,25 @@ class TestEngineServing:
             engine.trajectory_ids(np.concatenate([first, second])), np.arange(300, 316)
         )
 
+    def test_drain_steps_over_a_corrupt_line(self, tmp_path):
+        """The records around a corrupt line are ingested once, the line is
+        stepped over, and the next drain reads on after it."""
+        path = tmp_path / "arrivals.jsonl"
+        append_trajectories(path, [stream_trajectory(300), stream_trajectory(301)])
+        with open(path, "a") as handle:
+            handle.write("{not json\n")
+        append_trajectories(path, [stream_trajectory(302), stream_trajectory(303)])
+        reader = TrajectoryStreamReader(path)
+        engine = Engine(
+            lambda batch: np.array([[t.trajectory_id, len(t)] for t in batch], dtype=np.float32)
+        )
+        rows = engine.drain(reader)
+        np.testing.assert_array_equal(engine.trajectory_ids(rows), [300, 301, 302, 303])
+        assert (reader.records_read, reader.line_number) == (4, 5)
+        assert reader.offset == path.stat().st_size
+        assert engine.drain(reader).size == 0
+        assert len(engine) == 4
+
     def test_ingest_service_snapshot_migrates_to_the_engine_format(self, rng, tmp_path):
         """One restore + snapshot turns a legacy layout into an Engine one.
 

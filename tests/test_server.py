@@ -17,6 +17,7 @@ one-shot faults for crashes.  The acceptance pins:
 
 from __future__ import annotations
 
+import errno
 import importlib.util
 import json
 import sys
@@ -118,54 +119,150 @@ class TestVirtualClock:
 
 
 # ---------------------------------------------------------------------- #
-# Batch aggregator
+# Batch aggregator: the buffer workers take their batches from
 # ---------------------------------------------------------------------- #
+class Taker(threading.Thread):
+    """A stand-in worker: one ``take()``, plus the virtual time it returned at."""
+
+    def __init__(self, aggregator: BatchAggregator, clock: VirtualClock) -> None:
+        super().__init__(daemon=True)
+        self.aggregator, self.clock = aggregator, clock
+        self.batch, self.taken_at = None, None
+
+    def run(self) -> None:
+        self.batch = self.aggregator.take()
+        self.taken_at = self.clock.monotonic()
+
+    def parked(self) -> "Taker":
+        """Start, and return once the take is provably waiting on the clock."""
+        self.start()
+        self.clock.wait_for_waiters(1)
+        return self
+
+    def result(self) -> list:
+        self.join(timeout=30)
+        assert not self.is_alive(), "take() never returned"
+        return self.batch
+
+
+def buffer(clock: VirtualClock, *, max_batch: int = 10, linger: float = 8.0) -> BatchAggregator:
+    """An aggregator whose pause window (``linger / 8``) is one clock second."""
+    return BatchAggregator(max_batch=max_batch, linger=linger, clock=clock)
+
+
+def submit(aggregator: BatchAggregator, count: int = 1) -> list:
+    return [aggregator.submit(QueryRequest(queries=probe_queries(1))) for _ in range(count)]
+
+
 class TestBatchAggregator:
-    def test_size_trigger_releases_inline(self):
-        batches = []
-        aggregator = BatchAggregator(batches.append, max_batch=3, linger=60.0)
-        futures = [aggregator.submit(QueryRequest(queries=probe_queries(1))) for _ in range(3)]
-        assert len(batches) == 1 and len(batches[0]) == 3
-        assert [entry.future for entry in batches[0]] == futures
-        assert aggregator.pending == 0
-
-    def test_linger_trigger_under_virtual_time(self):
+    def test_a_lone_request_leaves_after_the_pause_not_the_linger(self):
         clock = VirtualClock()
-        batches = []
-        delivered = threading.Event()
-
-        def sink(batch):
-            batches.append(batch)
-            delivered.set()
-
-        aggregator = BatchAggregator(sink, max_batch=10, linger=1.0, clock=clock)
-        aggregator.start()
-        aggregator.submit(QueryRequest(queries=probe_queries(1)))  # deadline t=1.0
+        aggregator = buffer(clock)
+        taker = Taker(aggregator, clock).parked()  # an idle worker, buffer empty
+        (future,) = submit(aggregator)
+        clock.wait_for_waiters(1)
         clock.advance(0.5)
-        aggregator.submit(QueryRequest(queries=probe_queries(1)))
-        clock.advance(0.5)  # exactly the first request's deadline
-        assert delivered.wait(timeout=5)
-        # One batch holding BOTH requests: had the first flushed early, the
-        # second would have landed in a batch of its own.
-        assert [len(batch) for batch in batches] == [2]
-        aggregator.close()
+        clock.wait_for_waiters(1)
+        assert aggregator.pending == 1  # inside the pause window: still waiting
+        clock.advance(0.5)  # the pause (linger / 8) has passed
+        assert [entry.future for entry in taker.result()] == [future]
+        assert taker.taken_at == 1.0 < aggregator.linger
 
-    def test_close_flushes_pending_and_rejects_new(self):
-        batches = []
-        aggregator = BatchAggregator(batches.append, max_batch=10, linger=60.0)
-        aggregator.start()
-        future = aggregator.submit(QueryRequest(queries=probe_queries(1)))
+    def test_arrivals_spaced_inside_the_pause_leave_as_one_batch(self):
+        clock = VirtualClock()
+        aggregator = buffer(clock)
+        taker = Taker(aggregator, clock).parked()
+        futures = submit(aggregator)
+        for _ in range(3):  # each arrival comes before the pause has passed
+            clock.advance(0.75)
+            futures += submit(aggregator)
+        assert aggregator.pending == 4
+        clock.advance(1.0)  # a pause after the last arrival
+        assert [entry.future for entry in taker.result()] == futures
+        assert taker.taken_at == 3.25
+
+    def test_the_age_trigger_caps_a_steady_trickle(self):
+        clock = VirtualClock()
+        aggregator = buffer(clock, max_batch=100)
+        taker = Taker(aggregator, clock).parked()
+        futures = []
+        for _ in range(16):  # one arrival every half pause: it never pauses
+            futures += submit(aggregator)
+            clock.advance(0.5)
+        # Now the first arrival has waited linger (8 s).
+        assert [entry.future for entry in taker.result()] == futures
+        assert taker.taken_at == aggregator.linger
+
+    def test_max_batch_caps_a_batch(self):
+        clock = VirtualClock()
+        aggregator = buffer(clock, max_batch=3)
+        futures = submit(aggregator, 5)
+        # Five pending: the size trigger holds without time moving.
+        assert [entry.future for entry in aggregator.take()] == futures[:3]
+        assert aggregator.pending == 2
+        taker = Taker(aggregator, clock).parked()
+        clock.advance(1.0)  # the two left over leave after the pause
+        assert [entry.future for entry in taker.result()] == futures[3:]
+
+    def test_a_worker_back_from_a_batch_waits_a_pause_for_resubmissions(self):
+        """The pause runs from the later of the last arrival and a worker's
+        return: callers answered by that worker re-submit only then."""
+        clock = VirtualClock()
+        aggregator = buffer(clock)
+        futures = submit(aggregator)  # arrives while every worker is busy
+        clock.advance(0.75)
+        taker = Taker(aggregator, clock).parked()  # a worker comes back
+        clock.advance(0.5)
+        clock.wait_for_waiters(1)
+        assert aggregator.pending == 1  # a pause after the arrival, not the return
+        futures += submit(aggregator)  # a caller it answered re-submits
+        clock.advance(1.0)
+        assert [entry.future for entry in taker.result()] == futures
+        assert taker.taken_at == 2.25
+
+    def test_killed_worker_survivors_are_served_first(self):
+        clock = VirtualClock()
+        aggregator = buffer(clock, max_batch=3)
+        futures = submit(aggregator, 3)
+        taken = aggregator.take()
+        taken[0].future.set_result(None)  # answered before its worker died
+        futures += submit(aggregator, 2)
+        aggregator.put_back([entry for entry in taken if not entry.future.done()])
+        assert [entry.future for entry in aggregator.take()] == futures[1:4]
+
+    def test_close_drains_without_waiting_then_fails_or_refuses(self):
+        clock = VirtualClock()
+        aggregator = buffer(clock, linger=60.0)
+        taker = Taker(aggregator, clock).parked()
+        futures = submit(aggregator, 2)
+        clock.wait_for_waiters(1)
         aggregator.close()
-        assert [len(batch) for batch in batches] == [1]
-        assert batches[0][0].future is future
+        assert [entry.future for entry in taker.result()] == futures
+        assert aggregator.take() is None  # closed and empty: workers exit
+        assert clock.monotonic() == 0.0
         with pytest.raises(ServerClosed):
-            aggregator.submit(QueryRequest(queries=probe_queries(1)))
+            submit(aggregator)
+        # A poisoned buffer fails what is pending instead.
+        poisoned = buffer(clock)
+        (future,) = submit(poisoned)
+        poisoned.close(ServerClosed("nobody left"))
+        with pytest.raises(ServerClosed, match="nobody left"):
+            future.result(timeout=0)
+        assert poisoned.take() is None
 
-    def test_stats_mean_occupancy(self):
-        aggregator = BatchAggregator(lambda batch: None, max_batch=2, linger=60.0)
-        for _ in range(4):
-            aggregator.submit(QueryRequest(queries=probe_queries(1)))
-        assert aggregator.stats == {"batches": 2, "requests": 4, "mean_occupancy": 2.0}
+    def test_shutdown_takes_what_is_pending_without_waiting(self):
+        clock = VirtualClock()
+        engine = make_engine()
+        seed_engine(engine, 16)
+        requests = [QueryRequest(queries=probe_queries(1, seed=s), k=3) for s in range(3)]
+        runtime = make_runtime(engine, clock=clock, max_batch=8, linger=60.0)
+        runtime.start()
+        futures = [runtime.submit(request) for request in requests]
+        assert runtime.stats()["pending"] == 3  # no trigger holds in frozen time
+        runtime.shutdown()
+        assert clock.monotonic() == 0.0
+        for future, reference in zip(futures, sequential_reference(engine, requests)):
+            assert_responses_identical(future.result(timeout=0), reference)
 
 
 # ---------------------------------------------------------------------- #
@@ -476,8 +573,8 @@ class TestGenerationConsistency:
     def test_publish_never_touches_the_filesystem(self, tmp_path, monkeypatch):
         """Each replica is built in memory from the primary: with snapshot
         file I/O disabled, a runtime without checkpoints starts, publishes
-        after every ingest and answers bitwise like the primary, and the
-        replica directory it was given never comes into existence."""
+        after every ingest and answers bitwise like the primary, and nothing
+        appears in its working directory."""
 
         def no_file_io(*args, **kwargs):
             raise AssertionError("a publish read or wrote a snapshot file")
@@ -486,12 +583,11 @@ class TestGenerationConsistency:
         monkeypatch.setattr("repro.api.engine._snapshot_segments", no_file_io)
         engine = make_engine()
         seed_engine(engine, 12)
-        replica_root = tmp_path / "replicas"
+        monkeypatch.chdir(tmp_path)
         runtime = ServingRuntime(
             engine,
             ServerConfig(max_batch=1, num_workers=2, publish_every_groups=1),
             clock=VirtualClock(),
-            replica_dir=replica_root,
         )
         request = QueryRequest(queries=probe_queries(2), k=3)
         with runtime:
@@ -499,9 +595,8 @@ class TestGenerationConsistency:
                 runtime.ingest([make_trajectory(8000 + wave)])  # one publish each
                 served = runtime.query(request, timeout=30)
                 assert_responses_identical(served, engine.query(request))
-                assert not replica_root.exists()
             assert runtime.stats()["publishes"] == 4
-        assert not replica_root.exists()
+        assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------- #
@@ -567,14 +662,18 @@ class TestWorkerFaults:
 # ---------------------------------------------------------------------- #
 class TestShutdown:
     def test_shutdown_drains_in_flight_requests(self):
+        gate = BatchGate()
         engine = make_engine()
         seed_engine(engine, 16)
-        requests = [QueryRequest(queries=probe_queries(1, seed=s), k=3) for s in range(3)]
-        runtime = make_runtime(engine, max_batch=8, linger=60.0)  # timer never fires
+        requests = [QueryRequest(queries=probe_queries(1, seed=s), k=3) for s in range(11)]
+        runtime = make_runtime(engine, hooks=gate, max_batch=8, linger=60.0, num_workers=1)
         runtime.start()
-        futures = [runtime.submit(request) for request in requests]
-        assert runtime.stats()["pending"] == 3  # parked in the aggregator
-        runtime.shutdown()  # close flushes the buffer; drain waits for answers
+        futures = [runtime.submit(request) for request in requests[:8]]  # leaves by size
+        assert gate.holding.wait(timeout=30)  # the only worker holds that batch
+        futures += [runtime.submit(request) for request in requests[8:]]
+        assert runtime.stats()["pending"] == 3  # nobody is free to take them
+        gate.release()
+        runtime.shutdown()  # no trigger holds for the three; closing takes them
         responses = [future.result(timeout=0) for future in futures]
         for actual, reference in zip(responses, sequential_reference(engine, requests)):
             assert_responses_identical(actual, reference)
@@ -794,7 +893,6 @@ def _crash_restart_fingerprints(root: Path, ids, group_size, publish_every, kill
     reference = ServingRuntime(
         make_engine(batch_sensitive_encode),
         config.variant(checkpoint_dir=root / "reference_ckpt"),
-        replica_dir=root / "reference_replicas",
     )
     reference.attach_stream(reference_stream)
     reference.pump()
@@ -808,7 +906,6 @@ def _crash_restart_fingerprints(root: Path, ids, group_size, publish_every, kill
     victim = ServingRuntime(
         make_engine(batch_sensitive_encode),
         config.variant(checkpoint_dir=checkpoint_dir),
-        replica_dir=root / "crash_replicas",
     )
     victim.attach_stream(stream)
     victim.flush_ingest()  # the initial checkpoint a server commits on boot
@@ -1007,6 +1104,73 @@ class TestCorruptStreamLines:
                 time.sleep(0.01)
             assert runtime.stats()["ingested_records"] == 5
         assert runtime.stats()["rejected_records"] == 1
+
+
+def full_disk(monkeypatch, times: int = 1) -> None:
+    """Make the next ``times`` ``Checkpointer.save`` calls fail as on a full disk."""
+    save = Checkpointer.save
+    left = [times]
+
+    def save_or_fail(self, *args, **kwargs):
+        if left[0] > 0:
+            left[0] -= 1
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return save(self, *args, **kwargs)
+
+    monkeypatch.setattr(Checkpointer, "save", save_or_fail)
+
+
+class TestIngestErrors:
+    """A failed background ingest cycle is counted, and the thread polls on."""
+
+    def test_the_ingest_thread_outlives_a_failed_checkpoint(self, tmp_path, monkeypatch):
+        class Signals(HookRecorder):
+            def __init__(self) -> None:
+                super().__init__()
+                self.published, self.checkpointed = threading.Event(), threading.Event()
+
+            def on_publish(self, generation, rows) -> None:
+                super().on_publish(generation, rows)
+                if generation == 2:
+                    self.published.set()
+
+            def on_checkpoint(self, path, generation) -> None:
+                super().on_checkpoint(path, generation)
+                self.checkpointed.set()
+
+        full_disk(monkeypatch)
+        hooks = Signals()
+        engine = make_engine()
+        checkpoints = tmp_path / "ckpt"
+        runtime = make_runtime(
+            engine, hooks=hooks, checkpoint_dir=checkpoints, checkpoint_every_publishes=1
+        )
+        with runtime:
+            runtime.submit_ingest([make_trajectory(7000)])  # its checkpoint fails
+            assert hooks.published.wait(timeout=30)
+            runtime.submit_ingest([make_trajectory(7001)])  # retried at this publish
+            assert hooks.checkpointed.wait(timeout=30)
+            stats = runtime.stats()
+            families = runtime.metrics()["metrics"]
+        assert (stats["ingested_waves"], stats["checkpoints"], stats["ingest_errors"]) == (2, 1, 1)
+        assert "No space left on device" in stats["last_ingest_error"]
+        assert families["server_ingest_errors_total"]["series"][0]["value"] == 1
+        assert [event["generation"] for event in hooks.of("checkpoint")][0] == 3
+        assert len(engine) == 2
+
+    def test_synchronous_levers_raise_to_their_caller(self, tmp_path, monkeypatch):
+        full_disk(monkeypatch, times=3)
+        runtime = make_runtime(make_engine(), checkpoint_dir=tmp_path / "ckpt")
+        with pytest.raises(OSError, match="No space left"):
+            runtime.ingest([make_trajectory(7002)])  # publishes, then checkpoints
+        runtime.submit_ingest([make_trajectory(7003)])
+        with pytest.raises(OSError, match="No space left"):
+            runtime.pump()
+        with pytest.raises(OSError, match="No space left"):
+            runtime.flush_ingest()
+        runtime.flush_ingest()  # the disk has room again
+        stats = runtime.stats()
+        assert (stats["checkpoints"], stats["ingest_errors"], len(runtime.primary)) == (1, 0, 2)
 
 
 class TestRuntimeMetrics:

@@ -94,6 +94,22 @@ class TestTrajectoryStreamReader:
         with pytest.raises(ValueError, match=r"line 2"):
             reader.poll()
 
+    def test_poll_quarantined_steps_over_corrupt_lines(self, tmp_path):
+        path = tmp_path / "arrivals.jsonl"
+        append_trajectories(path, [make_trajectory(i, 3) for i in range(2)])
+        with open(path, "ab") as handle:
+            handle.write(b"{not json\n\xff\xfe not unicode\n")
+        append_trajectories(path, [make_trajectory(i, 3) for i in range(2, 5)])
+        reader = TrajectoryStreamReader(path)
+        records, skipped = reader.poll_quarantined(max_records=3)
+        assert ([t.trajectory_id for t in records], skipped) == ([0, 1, 2], 2)
+        assert (reader.records_read, reader.line_number) == (3, 5)
+        records, skipped = reader.poll_quarantined()
+        assert ([t.trajectory_id for t in records], skipped) == ([3, 4], 0)
+        assert reader.poll_quarantined() == ([], 0)
+        with pytest.raises(ValueError):
+            reader.poll_quarantined(max_records=0)
+
     def test_max_records_and_iter(self, tmp_path):
         path = tmp_path / "arrivals.jsonl"
         append_trajectories(path, [make_trajectory(i, 3) for i in range(5)])
