@@ -2,8 +2,10 @@
 
 Layout (built lazily, a pure function of the stored rows + params + seed):
 
-* **centroids** — k-means over the first ``min(train_size, N)`` stored rows,
-  ``nlist`` clamped to the row count;
+* **centroids** — k-means over those of the first ``min(train_size, N)``
+  stored rows whose squared norms are finite, ``nlist`` clamped to their
+  count (one list at the origin when there are none): a NaN or overflowing
+  row would turn the k-means++ draw's weights into NaN;
 * **inverted lists** — every stored row is assigned to its nearest centroid;
   rows are kept *grouped by list* in one contiguous reordered copy (vectors,
   cached norms, global ids, storage rows), so probing a list is one
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ann.base import AnnBackendBase
-from repro.ann.kmeans import assign_to_centroids, kmeans
+from repro.ann.kmeans import assign_to_centroids, grouping_order, kmeans
 from repro.serving.index import (
     DEFAULT_DATABASE_CHUNK,
     DEFAULT_QUERY_CHUNK,
@@ -135,14 +137,21 @@ class IVFBackend(AnnBackendBase):
     # Training / structure
     # ------------------------------------------------------------------ #
     def _train_centroids(self) -> np.ndarray:
-        stored = self._segment.vectors
-        train_rows = min(self.train_size, stored.shape[0])
-        nlist_eff = min(self.nlist, train_rows)
+        segment = self._segment
+        train_rows = min(self.train_size, segment.vectors.shape[0])
+        finite = np.isfinite(segment.norms[:train_rows])
+        nlist_eff = max(1, min(self.nlist, int(finite.sum())))
         if self._centroid_cache is not None:
             cached_rows, cached = self._centroid_cache
             if cached_rows == train_rows and cached.shape[0] == nlist_eff:
                 return cached
-        centroids = kmeans(stored[:train_rows], nlist_eff, seed=self.seed)
+        train = segment.vectors[:train_rows]
+        if not finite.all():
+            train = train[finite]
+        if train.shape[0]:
+            centroids = kmeans(train, nlist_eff, seed=self.seed)
+        else:
+            centroids = np.zeros((1, segment.vectors.shape[1]), dtype=np.float32)
         self._centroid_cache = (train_rows, centroids)
         return centroids
 
@@ -151,7 +160,7 @@ class IVFBackend(AnnBackendBase):
         segment = self._segment
         stored = segment.vectors
         assignments, _ = assign_to_centroids(stored, centroids)
-        order = np.argsort(assignments, kind="stable")
+        order = grouping_order(assignments, centroids.shape[0])
         counts = np.bincount(assignments, minlength=centroids.shape[0])
         offsets = np.zeros(centroids.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])

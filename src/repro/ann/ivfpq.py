@@ -98,18 +98,26 @@ class IVFPQBackend(IVFBackend):
         train_rows = min(self.train_size, residuals.shape[0])
         # The training subset is the residuals of the first `train_rows`
         # *storage* rows — a pure function of the stored prefix, like the
-        # coarse centroids, so rebuilds and restores train identically.
+        # coarse centroids, so rebuilds and restores train identically —
+        # less those whose squared norm is not finite, as for the centroids.
         train_mask = base.order < train_rows
+        train_mask &= np.isfinite(base.norms)
+        train = residuals[train_mask] if train_mask.any() else np.zeros_like(residuals[:1])
         pq = ProductQuantizer(
             residuals.shape[1], self.pq_m, self.pq_bits, seed=self.seed + 1
-        ).train(residuals[train_mask])
+        ).train(train)
         codes = pq.encode(residuals)
         reconstruction = base.centroids[base.list_of_position] + pq.decode(codes)
+        recon_norms = np.einsum("ij,ij->i", reconstruction, reconstruction)
+        # A row whose squared norm is not finite has a finite code but no
+        # finite exact distance: its ADC score is +inf, as a tombstone's, so
+        # it takes no re-rank pool slot from a finite candidate.
+        recon_norms[~np.isfinite(base.norms)] = np.inf
         return _IVFPQStructure(
             **{field: getattr(base, field) for field in _IVFStructure.__dataclass_fields__},
             pq=pq,
             codes=codes,
-            recon_norms=np.einsum("ij,ij->i", reconstruction, reconstruction),
+            recon_norms=recon_norms,
         )
 
     # ------------------------------------------------------------------ #

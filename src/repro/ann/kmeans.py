@@ -7,8 +7,11 @@ same centroids.  Everything here is therefore seeded through
 ``np.random.default_rng`` and free of data-dependent randomness — k-means++
 seeding, a fixed iteration cap, deterministic empty-cluster repair.
 
-Distances reuse :func:`repro.serving.index.pairwise_squared_euclidean`, the
-same float32 GEMM kernel every exact backend scans with.
+Assignment scores rows by ``|c|² − 2x·c`` in one GEMM per row block, as
+faiss does (Johnson, Douze & Jégou, "Billion-scale similarity search with
+GPUs", 2019); k-means++ seeding reuses
+:func:`repro.serving.index.pairwise_squared_euclidean`, the float32 kernel
+every exact backend scans with.
 """
 
 from __future__ import annotations
@@ -24,32 +27,52 @@ DEFAULT_KMEANS_ITERS = 10
 #: Database rows scored per block during assignment (bounds peak memory).
 _ASSIGN_CHUNK = 4096
 
+#: Clusters whose ids fit the 16-bit keys NumPy radix-sorts.
+_RADIX_CLUSTERS = 1 << 16
+
 
 def assign_to_centroids(
     data: np.ndarray, centroids: np.ndarray, *, chunk_size: int = _ASSIGN_CHUNK
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per row: ``(assignments, squared_distances)``.
 
-    Computed one ``chunk_size`` block of rows at a time so assignment never
-    materialises the full ``(N, k)`` distance matrix for large corpora.
-    Ties go to the smaller centroid index (``argmin`` semantics).
+    Each ``chunk_size`` block of rows costs one GEMM against ``−2C`` (scaling
+    by a power of two is exact in float32) into one buffer reused by every
+    block, one in-place add of ``|c|²`` and one ``argmin`` — ``|x|²`` is the
+    same for every centroid, so ``|c|² − 2x·c`` ranks them like ``|x − c|²``.
+    Ties go to the smaller centroid index (``argmin`` semantics).  Only the
+    winner's distance is formed: ``|x|²`` plus its score, clipped at 0.
     """
     data = as_float32_matrix(data, "data")
     centroids = as_float32_matrix(centroids, "centroids")
+    count = data.shape[0]
+    scaled = np.float32(-2.0) * centroids
     centroid_norms = squared_norms(centroids)
-    assignments = np.empty(data.shape[0], dtype=np.int64)
-    best = np.empty(data.shape[0], dtype=np.float32)
-    for start in range(0, data.shape[0], chunk_size):
-        stop = min(start + chunk_size, data.shape[0])
-        block = data[start:stop]
-        distances = pairwise_squared_euclidean(
-            block, centroids, database_norms=centroid_norms
-        )
-        assignments[start:stop] = np.argmin(distances, axis=1)
-        best[start:stop] = np.take_along_axis(
-            distances, assignments[start:stop, None], axis=1
-        )[:, 0]
+    buffer = np.empty((min(chunk_size, count), centroids.shape[0]), dtype=np.float32)
+    assignments = np.empty(count, dtype=np.int64)
+    best = np.empty(count, dtype=np.float32)
+    for start in range(0, count, chunk_size):
+        stop = min(start + chunk_size, count)
+        scores = buffer[: stop - start]
+        np.matmul(data[start:stop], scaled.T, out=scores)
+        scores += centroid_norms
+        won = np.argmin(scores, axis=1, out=assignments[start:stop])
+        best[start:stop] = scores[np.arange(stop - start), won]
+    best += squared_norms(data)
+    np.maximum(best, 0.0, out=best)
     return assignments, best
+
+
+def grouping_order(assignments: np.ndarray, k: int) -> np.ndarray:
+    """The stable permutation grouping rows by cluster, rows ascending within one.
+
+    NumPy radix-sorts 16-bit keys, so for ``k <= 65536`` the keys are
+    narrowed to ``uint16`` first: the int64 stable ``argsort``'s permutation,
+    about 8x faster.
+    """
+    if k <= _RADIX_CLUSTERS:
+        assignments = assignments.astype(np.uint16)
+    return np.argsort(assignments, kind="stable")
 
 
 def _plusplus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,7 +151,7 @@ def _cluster_means(data: np.ndarray, assignments: np.ndarray, counts: np.ndarray
     ``np.add.reduceat``, so the means are bit-identical to the unbuffered
     scatter-add at a fraction of its cost.
     """
-    order = np.argsort(assignments, kind="stable")
+    order = grouping_order(assignments, counts.size)
     starts = np.cumsum(counts) - counts
     # float64 accumulator on purpose: summing many float32 rows in
     # float32 loses mass on large clusters; cast back after the divide.

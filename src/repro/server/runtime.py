@@ -319,7 +319,9 @@ class ServingRuntime:
         thread, ingest any remaining stream records and buffered partial
         group, and commit a final checkpoint when checkpointing is
         configured.  ``drain=False`` skips the waiting and the final ingest
-        flush.
+        flush.  A wave or stream group whose encode still raises raises out
+        of shutdown, after what did go in is published and checkpointed
+        (with the stream position before that group).
         """
         with self._state_lock:
             if self._closed:
@@ -339,9 +341,11 @@ class ServingRuntime:
             self._ingester = None
         if drain and self._started:
             with self._ingest_lock:
-                self._drain_ingest_locked(force_partial=True)
-                if self._groups_since_publish or self._checkpointer is not None:
-                    self._publish_locked(force_checkpoint=self._checkpointer is not None)
+                try:
+                    self._drain_ingest_locked(force_partial=True)
+                finally:
+                    if self._groups_since_publish or self._checkpointer is not None:
+                        self._publish_locked(force_checkpoint=self._checkpointer is not None)
 
     @classmethod
     def restore(
@@ -657,6 +661,13 @@ class ServingRuntime:
         Drains queued waves, polls the attached stream into full groups,
         and publishes/checkpoints when due — exactly what the background
         thread does once per ``poll_interval``.  Returns what happened.
+
+        A wave or stream group whose encode raises is kept, ahead of
+        everything after it, and the next cycle retries it; the stream's
+        checkpointable position stays before the group.  So a record the
+        encoder fails on every time holds its wave queue or the stream at
+        that record: the stall shows as one more
+        ``server_ingest_errors_total`` per background cycle.
         """
         with self._ingest_lock:
             result = self._drain_ingest_locked(force_partial=False)
@@ -740,40 +751,46 @@ class ServingRuntime:
                 # reader position *before* any buffered records.
                 self._stream_base_state = self._reader.state
             need = group_size - len(self._stream_buffer)
-            # A corrupt line is quarantined where it is read, as a refused
-            # record is: stepped over and counted.
-            polled, skipped = self._reader.poll_quarantined(need)
-            self._count_rejected_locked(skipped)
-            self._stream_buffer.extend(self._admit_stream_records_locked(polled))
-            if len(self._stream_buffer) < group_size:
-                if len(polled) < need:  # the stream is drained for now
-                    return ingested
-                continue  # records were dropped: read on to fill the group
-            group, self._stream_buffer = self._stream_buffer, []
-            self._ingest_group_locked(group)
-            ingested += len(group)
+            if need:  # else a group a failed cycle left buffered is retried
+                # A corrupt line is quarantined where it is read, as a
+                # refused record is: stepped over and counted.
+                polled, skipped = self._reader.poll_quarantined(need)
+                self._count_rejected_locked(skipped)
+                self._stream_buffer.extend(self._admit_stream_records_locked(polled))
+                if len(self._stream_buffer) < group_size:
+                    if len(polled) < need:  # the stream is drained for now
+                        return ingested
+                    continue  # records were dropped: read on to fill the group
+            ingested += self._ingest_buffered_group_locked()
 
-    def _ingest_group_locked(self, group: list[Trajectory]) -> None:
+    def _ingest_buffered_group_locked(self) -> int:
+        """Ingest the stream buffer as one group; returns its size.
+
+        The buffer empties only once the group is in the primary: when the
+        encode raises, the group stays buffered at an unmoved base state.
+        """
+        group = self._stream_buffer
         with self._encode_lock:
             self.primary.ingest(group)
+        self._stream_buffer = []
         self._ingested_records += len(group)
         self._groups_since_publish += 1
         self._m_ingested_records.inc(len(group))
+        return len(group)
 
     def _drain_ingest_locked(self, *, force_partial: bool) -> dict[str, int | bool]:
         waves = 0
-        while True:
+        while self._ingest_queue:
+            wave = self._ingest_queue.popleft()
             try:
-                wave = self._ingest_queue.popleft()
-            except IndexError:
-                break
-            self._ingest_wave_locked(wave)
+                self._ingest_wave_locked(wave)
+            except BaseException:
+                self._ingest_queue.appendleft(wave)  # the next cycle retries it
+                raise
             waves += 1
         records = self._poll_stream_locked()
         if force_partial and self._stream_buffer:
-            group, self._stream_buffer = self._stream_buffer, []
-            self._ingest_group_locked(group)
-            records += len(group)
+            records += self._ingest_buffered_group_locked()
             self._stream_base_state = self._reader.state
         self._note_ingest_lag_locked()
         return {"waves": waves, "stream_records": records, "published": False}

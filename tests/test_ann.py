@@ -11,7 +11,10 @@ The hypothesis properties pin the ANN backends' sharp guarantees:
   candidate set and exact re-ranking can only keep or improve recall@k;
 * **the batched probe scan is the per-list scan** — distances are bitwise
   those of the per-list merge loop (:func:`per_list_reference`), ids too
-  except where a distance ties exactly at the selection boundary.
+  except where a distance ties exactly at the selection boundary;
+* **the single-buffer assignment picks a nearest centroid** — by the
+  distances of the full-expansion kernel it replaced
+  (``kmeans_reference.py``), to float32 rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kmeans_reference import (
+    reference_assign_to_centroids,
+    reference_distances,
+    reference_grouping_order,
+)
 
 from repro.ann import IVFBackend, IVFPQBackend, ProductQuantizer, assign_to_centroids, kmeans
 from repro.ann.pq import largest_divisor_at_most
@@ -255,6 +263,84 @@ class TestKMeans:
             assert len(set(assignments[blob * 40 : (blob + 1) * 40].tolist())) == 1
 
 
+class TestAssignmentKernel:
+    """``assign_to_centroids`` against the full-expansion reference kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 120),
+        dim=st.integers(1, 12),
+        k=st.integers(1, 40),
+        kind=st.sampled_from(["random", "duplicated", "k == n"]),
+        chunk_size=st.integers(1, 130),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_each_row_goes_to_a_nearest_centroid(self, seed, rows, dim, k, kind, chunk_size, scale):
+        """Duplicated rows and centroids tie exactly; ``k == n`` puts every
+        row on a centroid, at distance ~0 where the clip matters."""
+        rng = np.random.default_rng(seed)
+        data = (scale * rng.standard_normal((rows, dim))).astype(np.float32)
+        if kind == "duplicated":
+            data = data[rng.integers(0, max(1, rows // 4), size=rows)]
+            centroids = data[rng.integers(0, rows, size=k)]
+        elif kind == "k == n":
+            centroids = data.copy()
+        else:
+            centroids = (scale * rng.standard_normal((k, dim))).astype(np.float32)
+        assignments, distances = assign_to_centroids(data, centroids, chunk_size=chunk_size)
+        reference = reference_distances(data, centroids, squared_norms(centroids))
+        tolerance = 1e-5 * (squared_norms(data) + squared_norms(centroids).max())
+        nearest = reference.min(axis=1)
+        assert assignments.dtype == np.int64 and distances.dtype == np.float32
+        assert (reference[np.arange(rows), assignments] <= nearest + tolerance).all()
+        assert (np.abs(distances - nearest) <= tolerance).all()
+        assert (distances >= 0).all()
+
+    def test_exact_ties_go_to_the_smaller_centroid_index(self):
+        data = random_corpus(32, 50, 4)
+        centroids = np.repeat(data[:3], 2, axis=0)  # centroid 2j and 2j + 1 alike
+        assignments, distances = assign_to_centroids(data, centroids)
+        assert (assignments % 2 == 0).all()
+        np.testing.assert_array_equal(assignments[:3], [0, 2, 4])
+        assert (distances[:3] <= 1e-5 * (1 + squared_norms(data[:3]))).all()
+
+    def test_blocks_reuse_one_buffer_and_agree_with_one_block(self):
+        data = random_corpus(33, 1000, 8)
+        centroids = random_corpus(34, 16, 8)
+        whole = assign_to_centroids(data, centroids, chunk_size=1000)
+        blocked = assign_to_centroids(data, centroids, chunk_size=96)
+        np.testing.assert_array_equal(blocked[0], whole[0])
+        np.testing.assert_allclose(blocked[1], whole[1], rtol=1e-5, atol=1e-5)
+
+    def test_empty_data_assigns_nothing(self):
+        assignments, distances = assign_to_centroids(np.zeros((0, 3)), random_corpus(35, 4, 3))
+        assert assignments.shape == distances.shape == (0,)
+
+    @pytest.mark.parametrize("k", [1, 7, 256, 65_536, 65_537, 1 << 20])
+    def test_uint16_grouping_is_the_int64_stable_argsort(self, k):
+        rng = np.random.default_rng(k)
+        assignments = rng.integers(0, k, size=20_000)
+        assignments[:2] = [0, k - 1]  # both ends of the key range
+        order = kmeans_module.grouping_order(assignments, k)
+        np.testing.assert_array_equal(order, reference_grouping_order(assignments, k))
+        assert order.dtype == np.intp
+
+    def test_ivf_groups_rows_as_the_reference_kernels_do(self, monkeypatch):
+        """On well-separated rows both kernels agree on every assignment, so
+        the whole list layout is the reference's."""
+        backend = IVFBackend(nlist=12, nprobe=3, seed=0)
+        backend.add(random_corpus(36, 3000, 16))
+        structure = backend._rebuild_structure()
+        ivf_module = importlib.import_module("repro.ann.ivf")
+        monkeypatch.setattr(ivf_module, "assign_to_centroids", reference_assign_to_centroids)
+        monkeypatch.setattr(ivf_module, "grouping_order", reference_grouping_order)
+        reference = backend._rebuild_structure()  # same cached centroids
+        for field in ("order", "offsets", "ids", "list_of_position"):
+            np.testing.assert_array_equal(getattr(structure, field), getattr(reference, field))
+        assert structure.vectors.tobytes() == reference.vectors.tobytes()
+
+
 class TestProductQuantizer:
     def test_m_clamps_to_a_divisor(self):
         assert largest_divisor_at_most(12, 8) == 6
@@ -397,6 +483,53 @@ class TestIVFSpecifics:
         expected = oracle.top_k(queries, 7)
         np.testing.assert_array_equal(result.indices, expected.indices)
         assert (result.distances == expected.distances).all()
+
+
+class TestNonFiniteRows:
+    """A stored row with a NaN component, or one whose squared norm
+    overflows float32, is answered around as the exact backends do."""
+
+    @staticmethod
+    def corpus_with_non_finite_rows():
+        rng = np.random.default_rng(41)
+        corpus = rng.standard_normal((500, 8)).astype(np.float32)
+        corpus[123, 4] = np.nan
+        corpus[321] = 3e38  # finite components, squared norm inf
+        return corpus, rng.standard_normal((200, 8)).astype(np.float32)
+
+    @pytest.mark.parametrize("backend_name", ["ivf", "ivfpq"])
+    def test_probing_answers_and_never_returns_them(self, backend_name):
+        """IVF-PQ's re-rank pool is exactly k wide, so a slot taken by a
+        non-finite row would reach the answer."""
+        corpus, queries = self.corpus_with_non_finite_rows()
+        params = dict(pq_m=4, pq_bits=4, rerank=10) if backend_name == "ivfpq" else {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = create_backend("bruteforce")
+            oracle.add(corpus)
+            expected = oracle.top_k(queries, 10)
+            for nprobe in (1, 2, 4, 8):
+                backend = create_backend(backend_name, nlist=8, nprobe=nprobe, seed=0, **params)
+                backend.add(corpus)
+                result = backend.top_k(queries, 10)
+                if nprobe == 8:
+                    np.testing.assert_array_equal(result.indices, expected.indices)
+                    assert result.distances.tobytes() == expected.distances.tobytes()
+                assert not np.isin(result.indices, [123, 321]).any()
+                assert np.isfinite(result.distances).all()
+                assert backend._ensure_structure().nlist == 8
+
+    @pytest.mark.parametrize("backend_name", ["ivf", "ivfpq"])
+    def test_no_finite_training_row_leaves_one_list_at_the_origin(self, backend_name):
+        corpus, queries = self.corpus_with_non_finite_rows()
+        backend = create_backend(backend_name, nlist=8, nprobe=2, train_size=2, seed=0)
+        backend.add(corpus[[123, 321]])
+        backend.add(corpus[:40])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = backend.top_k(queries, 5)
+            structure = backend._ensure_structure()
+        assert structure.centroids.tobytes() == np.zeros((1, 8), dtype=np.float32).tobytes()
+        assert not np.isin(result.indices, [0, 1]).any()
+        assert np.isfinite(result.distances).all()
 
 
 class TestHypothesisProperties:

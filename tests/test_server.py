@@ -1172,6 +1172,82 @@ class TestIngestErrors:
         stats = runtime.stats()
         assert (stats["checkpoints"], stats["ingest_errors"], len(runtime.primary)) == (1, 0, 2)
 
+    @staticmethod
+    def assert_rows_in_order(engine, expected) -> None:
+        rows = np.arange(len(engine), dtype=np.int64)
+        assert engine.trajectory_ids(rows).tolist() == list(expected)
+
+    def test_a_failed_stream_group_is_retried_in_stream_order(self, tmp_path):
+        stream = tmp_path / "stream.jsonl"
+        write_stream(stream, range(6))
+        encoder = FlakyEncoder(poison_ids={3})
+        checkpoints = tmp_path / "ckpt"
+        runtime = make_runtime(
+            make_engine(encoder), ingest_group_size=2, checkpoint_dir=checkpoints
+        )
+        runtime.attach_stream(stream)
+        with pytest.raises(RuntimeError, match="poisoned trajectory 3"):
+            runtime.pump()
+        self.assert_rows_in_order(runtime.primary, [0, 1])  # [2, 3] is kept
+        with pytest.raises(RuntimeError, match="poisoned trajectory 3"):
+            runtime.flush_ingest()  # still poisoned: the stream holds at [2, 3]
+        encoder.poison_ids.clear()
+        runtime.flush_ingest()  # publishes and checkpoints
+        self.assert_rows_in_order(runtime.primary, range(6))
+        restored = ServingRuntime.restore(
+            checkpoints, id_encode, config=runtime.config, stream_path=stream
+        )
+        restored.flush_ingest()
+        self.assert_rows_in_order(restored.primary, range(6))
+        assert restored.stats()["ingested_records"] == 6
+
+    def test_a_failed_wave_is_retried_in_queue_order(self, tmp_path):
+        encoder = FlakyEncoder(poison_ids={3})
+        checkpoints = tmp_path / "ckpt"
+        runtime = make_runtime(make_engine(encoder), checkpoint_dir=checkpoints)
+        for first in (0, 2, 4):
+            runtime.submit_ingest([make_trajectory(first), make_trajectory(first + 1)])
+        with pytest.raises(RuntimeError, match="poisoned trajectory 3"):
+            runtime.pump()
+        self.assert_rows_in_order(runtime.primary, [0, 1])
+        encoder.poison_ids.clear()
+        assert runtime.flush_ingest()["waves"] == 2
+        self.assert_rows_in_order(runtime.primary, range(6))
+        restored = ServingRuntime.restore(checkpoints, id_encode, config=runtime.config)
+        restored.flush_ingest()
+        self.assert_rows_in_order(restored.primary, range(6))
+
+    def test_shutdown_checkpoints_what_went_in_before_a_poisoned_wave(self, tmp_path):
+        encoder = FlakyEncoder(poison_ids={3})
+        checkpoints = tmp_path / "ckpt"
+        runtime = make_runtime(make_engine(encoder), checkpoint_dir=checkpoints).start()
+        for first in (0, 2, 4):
+            runtime.submit_ingest([make_trajectory(first), make_trajectory(first + 1)])
+        with pytest.raises(RuntimeError, match="poisoned trajectory 3"):
+            runtime.shutdown()
+        restored = ServingRuntime.restore(checkpoints, id_encode, config=runtime.config)
+        self.assert_rows_in_order(restored.primary, [0, 1])
+
+    def test_the_ingest_thread_counts_each_retry_of_a_poisoned_group(self, tmp_path):
+        stream = tmp_path / "stream.jsonl"
+        write_stream(stream, range(4))
+        encoder = FlakyEncoder(poison_ids={3})
+        runtime = make_runtime(make_engine(encoder), ingest_group_size=2, poll_interval=0.01)
+        with runtime:
+            runtime.attach_stream(stream)
+            deadline = time.monotonic() + 30
+            while runtime.stats()["ingest_errors"] < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            stalled = runtime.stats()
+            encoder.poison_ids.clear()
+            while runtime.stats()["ingested_records"] < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            families = runtime.metrics()["metrics"]
+        assert stalled["ingest_errors"] >= 2 and stalled["ingested_records"] == 2
+        assert "poisoned trajectory 3" in stalled["last_ingest_error"]
+        assert families["server_ingest_errors_total"]["series"][0]["value"] >= 2
+        self.assert_rows_in_order(runtime.primary, range(4))
+
 
 class TestRuntimeMetrics:
     """The PR 9 observability contract: the runtime reports what it serves."""
